@@ -13,8 +13,7 @@ import csv
 
 import numpy as np
 
-from facelight.hlc import correct_labels, param_grid
-from facelight.labels import accuracy
+from facelight.hlc import param_grid, sweep_params
 
 
 def noisy_steps(rng, n_labels=29, step_len=60, flip=0.05):
@@ -38,8 +37,7 @@ def main():
     totals = np.zeros(len(grid))
     for seed in range(args.seeds):
         noisy, truth = noisy_steps(np.random.default_rng(seed), flip=args.flip)
-        for i, params in enumerate(grid):
-            totals[i] += accuracy(correct_labels(noisy, params).labels, truth)
+        totals += [acc for _, acc in sweep_params(noisy, truth, grid)]
     totals /= args.seeds
 
     with open(args.out, "w", newline="") as fh:

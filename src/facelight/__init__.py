@@ -12,13 +12,8 @@ from .optics import (
     EmitterUnit,
     FacePoint,
     OpticsConfig,
-    angular_distribution,
-    diffuse_weight,
-    incident_intensity,
-    mirror_direction,
     reflected_intensity,
     reflected_intensity_planar,
-    specular_weight,
 )
 from .scene import (
     FaceModel,

@@ -12,7 +12,7 @@ selected category's predictor, and fuses the pair into a unified label.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -318,23 +318,49 @@ def save_model(model: TwoTierModel, path) -> None:
         json.dump(doc, fh)
 
 
+def _field(doc, key: str, kind: type, where: str):
+    """doc[key], after checking that it is present and of JSON type `kind`."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise DomainError(f"{where}: missing key '{key}'")
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise DomainError(f"{where}: key '{key}' must be {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _head_from_doc(head, where: str) -> MlpHead:
+    if not isinstance(head, dict):
+        raise DomainError(f"{where} must be an object, got {type(head).__name__}")
+    return MlpHead.from_dict({name: _field(head, name, list, where) for name in _PARAM_NAMES})
+
+
 def load_model(path) -> TwoTierModel:
     with open(path, "r", encoding="ascii") as fh:
         doc = json.load(fh)
-    if doc.get("kind") != "facelight-two-tier":
+    if not isinstance(doc, dict) or doc.get("kind") != "facelight-two-tier":
         raise DomainError(f"{path}: not a two-tier model file")
-    lay = doc["layout"]
+    lay = _field(doc, "layout", dict, path)
+    where = f"{path}: layout"
+    category_names = lay.get("category_names") and _field(lay, "category_names", list, where)
+    app_names = lay.get("app_names") and _field(lay, "app_names", list, where)
+    if app_names and not all(isinstance(a, list) for a in app_names):
+        raise DomainError(f"{where}: key 'app_names' must be a list of lists")
     layout = LabelLayout(
-        tuple(lay["counts"]),
-        tuple(lay["category_names"]) if lay.get("category_names") else None,
-        tuple(tuple(a) for a in lay["app_names"]) if lay.get("app_names") else None,
+        tuple(_field(lay, "counts", list, where)),
+        tuple(category_names) if category_names else None,
+        tuple(tuple(a) for a in app_names) if app_names else None,
     )
+    fp = _field(doc, "feature_params", dict, path)
+    fp_types = {f.name: int if f.name == "seed" else list for f in fields(FeatureParams)}
+    predictors = _field(doc, "predictors", list, path)
     return TwoTierModel(
         layout=layout,
-        feature_params=FeatureParams.from_dict(doc["feature_params"]),
-        discriminator=MlpHead.from_dict(doc["discriminator"]),
-        predictors=[MlpHead.from_dict(p) for p in doc["predictors"]],
-        l_size=int(doc["l_size"]),
-        p_grid=int(doc["p_grid"]),
-        seed=int(doc["seed"]),
+        feature_params=FeatureParams.from_dict(
+            {name: _field(fp, name, kind, f"{path}: feature_params") for name, kind in fp_types.items()}
+        ),
+        discriminator=_head_from_doc(_field(doc, "discriminator", dict, path), f"{path}: discriminator"),
+        predictors=[_head_from_doc(p, f"{path}: predictors[{i}]") for i, p in enumerate(predictors)],
+        l_size=_field(doc, "l_size", int, path),
+        p_grid=_field(doc, "p_grid", int, path),
+        seed=_field(doc, "seed", int, path),
     )

@@ -37,6 +37,8 @@ class LabelSequence:
         labels = tuple(int(v) for v in self.labels)
         if len(labels) < 1:
             raise DomainError("label sequence must have length >= 1")
+        if min(labels) < UNKNOWN:
+            raise DomainError(f"labels must be >= {UNKNOWN}, got {min(labels)}")
         if self.timestep <= 0:
             raise DomainError(f"timestep must be > 0, got {self.timestep}")
         object.__setattr__(self, "labels", labels)
@@ -172,10 +174,20 @@ def read_label_sequence(path, timestep: float = DEFAULT_TIMESTEP) -> LabelSequen
         header = next(reader, None)
         if header != ["t", "label_index"]:
             raise DomainError(f"{path}: expected header t,label_index, got {header}")
-        labels = [int(row[1]) for row in reader if row]
+        labels = []
+        for row in reader:
+            if not row:
+                continue
+            try:
+                labels.append(int(row[1]))
+            except (IndexError, ValueError):
+                raise DomainError(f"{path}:{reader.line_num}: expected t,label_index, got {row}") from None
     if not labels:
         raise DomainError(f"{path}: empty label sequence")
-    return LabelSequence(tuple(labels), timestep)
+    try:
+        return LabelSequence(tuple(labels), timestep)
+    except DomainError as exc:
+        raise DomainError(f"{path}: {exc}") from None
 
 
 def write_sweep_csv(path, rows: Sequence[Tuple[HlcParams, float]]) -> None:

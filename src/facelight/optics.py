@@ -11,32 +11,34 @@ ambient term:
                 + sum k_s * I_f * cos^{n_s}(theta_m)
                 + k_a * I_a
 
-For a planar screen the same quantity can be written with per-emitter
-importance weights and a single perpendicular distance d0 from the face point
-to the screen plane:
+One kernel, `reflection_cosines`, computes the geometry of every (face point,
+emitter) pair: the mirror direction, the three cosines clamped into [0, 1]
+(so occluded and back-facing terms contribute nothing) and the squared
+distance.  The renderer's weight matrix (`scene.face_screen_weights`), the
+2-D weight curves (`scene.simulate_weight_curves`) and both forms of the
+total below are built on it.
+
+For a planar screen the perpendicular distance from the face point to the
+screen plane is d0 = d * cos(theta_e), so the total can also be written with
+per-emitter importance weights:
 
     total = (1/d0^2) * sum I_e * (k_d * G_d + k_s * G_s) + k_a * I_a
     G_d = cos^g(theta_e) * cos^2(theta_e) * cos(theta_r)
     G_s = cos^g(theta_e) * cos^2(theta_e) * cos^{n_s}(theta_m)
 
-Both formulations are implemented; they agree to ~1e-9 relative on planar
-screens and the agreement is enforced by tests.
-
-All cosines are clamped to >= 0 so that occluded / back-facing terms
-contribute nothing.  Angles are computed from normalized dot products; acos
-only appears at API boundaries that take angles in radians.
+`reflected_intensity` is the distance form and `reflected_intensity_planar`
+the importance-weight form; they agree to ~1e-9 relative on planar screens
+and the agreement is enforced by tests.  The per-emitter scalar formulas are
+kept as loop references in tests/oracle_optics.py.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, GeometryError
-
-HALF_PI = math.pi / 2.0
 
 # Defaults for the emitter falloff exponent and the shininess exponent.
 DEFAULT_G = 30.0
@@ -126,64 +128,48 @@ class OpticsConfig:
             raise DomainError("ambient intensity components must be >= 0")
 
 
-def angular_distribution(theta: float, g: float) -> float:
-    """Emitter falloff cos^g(theta) for theta in [0, pi/2]."""
-    if not 0.0 <= theta <= HALF_PI:
-        raise DomainError(f"theta must lie in [0, pi/2], got {theta}")
-    if g < 0:
-        raise DomainError(f"exponent g must be >= 0, got {g}")
-    return math.cos(theta) ** g
 
 
-def incident_intensity(i_e, theta_e: float, d_ef: float, g: float):
-    """Intensity arriving at a face point: I_e * cos^g(theta_e) / d^2.
+def reflection_cosines(face_pos, face_nrm, emitter_pos, screen_normal, camera):
+    """Reflection geometry of every (face point, emitter) pair.
 
-    i_e may be a scalar or a per-channel vector; the result has the same shape.
+    face_pos and face_nrm are (P, 3) with unit normals, emitter_pos is (E, 3),
+    screen_normal is the unit emitter normal and camera a 3-vector.  Returns
+    (cos_e, cos_r, cos_m, d2), each (P, E): the emitter off-normal angle, the
+    receive angle at the face normal, the angle between the mirror direction
+    and the view toward the camera (cosines clamped into [0, 1]), and the
+    squared emitter-face distance.
     """
-    if d_ef <= 0.0:
-        raise GeometryError(f"emitter-face distance must be > 0, got {d_ef}")
-    w = angular_distribution(theta_e, g)
-    return np.asarray(i_e, dtype=float) * (w / (d_ef * d_ef))
+    ef = face_pos[:, None, :] - emitter_pos[None, :, :]  # emitter -> face
+    d2 = np.einsum("peq,peq->pe", ef, ef)
+    if np.any(d2 == 0.0):
+        raise GeometryError("a face point coincides with an emitter")
+    e_hat = ef / np.sqrt(d2)[:, :, None]
+    view = camera - face_pos
+    vn = np.linalg.norm(view, axis=1)
+    if np.any(vn == 0.0):
+        raise GeometryError("camera coincides with a face point")
+    v_hat = view / vn[:, None]
+
+    dot_en = np.einsum("peq,pq->pe", e_hat, face_nrm)
+    m_hat = e_hat - 2.0 * dot_en[:, :, None] * face_nrm[:, None, :]
+    cos_e = np.clip(e_hat @ screen_normal, 0.0, 1.0)
+    cos_r = np.clip(-dot_en, 0.0, 1.0)
+    cos_m = np.clip(np.einsum("peq,pq->pe", m_hat, v_hat), 0.0, 1.0)
+    return cos_e, cos_r, cos_m, d2
 
 
-def mirror_direction(incident: np.ndarray, normal: np.ndarray) -> np.ndarray:
-    """Reflect an incident direction about a surface normal: d - 2(d.n)n.
-
-    `incident` points from the emitter toward the surface; both inputs must be
-    unit vectors.  The result is unit-norm and reflecting it again returns the
-    incident direction.
-    """
-    d = _require_unit(incident, "incident direction")
-    n = _require_unit(normal, "surface normal")
-    return d - 2.0 * float(d @ n) * n
-
-
-def diffuse_weight(theta_e: float, theta_r: float, g: float) -> float:
-    """Per-emitter diffuse importance weight cos^g(te) * cos^2(te) * cos(tr)."""
-    if not 0.0 <= theta_r <= HALF_PI:
-        raise DomainError(f"theta_r must lie in [0, pi/2], got {theta_r}")
-    w = angular_distribution(theta_e, g)
-    ce = math.cos(theta_e)
-    return w * ce * ce * math.cos(theta_r)
-
-
-def specular_weight(theta_e: float, theta_m: float, g: float, n_s: float) -> float:
-    """Per-emitter specular importance weight cos^g(te) * cos^2(te) * cos^{n_s}(tm).
-
-    theta_m may reach pi; cos(theta_m) is clamped at 0 so back-facing specular
-    lobes contribute nothing.
-    """
-    if not 0.0 <= theta_m <= math.pi:
-        raise DomainError(f"theta_m must lie in [0, pi], got {theta_m}")
-    w = angular_distribution(theta_e, g)
-    ce = math.cos(theta_e)
-    cm = max(math.cos(theta_m), 0.0)
-    return w * ce * ce * cm**n_s
-
-
-def _cos_clamped(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine of the angle between two unit vectors, clamped into [0, 1]."""
-    return min(max(float(a @ b), 0.0), 1.0)
+def _point_geometry(face_point: FacePoint, emitters, screen_normal, camera, cfg: OpticsConfig):
+    """Emitter radiances (E, 3) and the (E,) kernel cosines and d2 of one face point."""
+    emitters = list(emitters)
+    positions = np.array([em.position for em in emitters]).reshape(-1, 3)
+    radiance = np.array([em.radiance for em in emitters]).reshape(-1, 3)
+    cosines = reflection_cosines(
+        face_point.position[None], face_point.normal[None], positions, screen_normal, vec3(camera)
+    )
+    if not emitters and not np.any(cfg.ambient > 0):
+        raise DomainError("no emitters and no ambient light: nothing to reflect")
+    return radiance, [c[0] for c in cosines]
 
 
 def reflected_intensity(
@@ -195,32 +181,10 @@ def reflected_intensity(
 ) -> np.ndarray:
     """Total reflected intensity toward the camera, per RGB channel (distance form)."""
     n_e = _require_unit(screen_normal, "screen normal")
-    camera = vec3(camera)
-    f = face_point.position
-    view = camera - f
-    if np.linalg.norm(view) == 0.0:
-        raise GeometryError("camera coincides with the face point")
-    v_hat = unit(view)
-
-    emitters = list(emitters)
-    if not emitters and not np.any(cfg.ambient > 0):
-        raise DomainError("no emitters and no ambient light: nothing to reflect")
-
-    total = face_point.k_a * cfg.ambient.copy()
-    n_f = face_point.normal
-    for em in emitters:
-        ef = f - em.position
-        d = float(np.linalg.norm(ef))
-        if d == 0.0:
-            raise GeometryError("face point coincides with an emitter")
-        e_hat = ef / d
-        cos_e = _cos_clamped(e_hat, n_e)
-        i_f = em.radiance * (cos_e**cfg.g / (d * d))
-        cos_r = _cos_clamped(-e_hat, n_f)
-        m_hat = e_hat - 2.0 * float(e_hat @ n_f) * n_f
-        cos_m = _cos_clamped(m_hat, v_hat)
-        total = total + i_f * (face_point.k_d * cos_r + face_point.k_s * cos_m**face_point.n_s)
-    return total
+    radiance, (cos_e, cos_r, cos_m, d2) = _point_geometry(face_point, emitters, n_e, camera, cfg)
+    fp = face_point
+    w = cos_e**cfg.g / d2 * (fp.k_d * cos_r + fp.k_s * cos_m**fp.n_s)
+    return w @ radiance + fp.k_a * cfg.ambient
 
 
 def reflected_intensity_planar(
@@ -237,31 +201,10 @@ def reflected_intensity_planar(
     `screen_origin` with normal `screen_normal`.
     """
     n_e = _require_unit(screen_normal, "screen normal")
-    camera = vec3(camera)
-    origin = vec3(screen_origin)
-    f = face_point.position
-    d0 = float((f - origin) @ n_e)
+    d0 = float((face_point.position - vec3(screen_origin)) @ n_e)
     if d0 <= 0.0:
         raise GeometryError("face point must be strictly in front of the screen plane")
-    view = camera - f
-    if np.linalg.norm(view) == 0.0:
-        raise GeometryError("camera coincides with the face point")
-    v_hat = unit(view)
-
-    emitters = list(emitters)
-    if not emitters and not np.any(cfg.ambient > 0):
-        raise DomainError("no emitters and no ambient light: nothing to reflect")
-
-    n_f = face_point.normal
-    acc = np.zeros(3)
-    for em in emitters:
-        e_hat = unit(f - em.position)
-        cos_e = _cos_clamped(e_hat, n_e)
-        cos_r = _cos_clamped(-e_hat, n_f)
-        m_hat = e_hat - 2.0 * float(e_hat @ n_f) * n_f
-        cos_m = _cos_clamped(m_hat, v_hat)
-        w = cos_e**cfg.g * cos_e * cos_e
-        g_d = w * cos_r
-        g_s = w * cos_m**face_point.n_s
-        acc = acc + em.radiance * (face_point.k_d * g_d + face_point.k_s * g_s)
-    return acc / (d0 * d0) + face_point.k_a * cfg.ambient
+    radiance, (cos_e, cos_r, cos_m, _) = _point_geometry(face_point, emitters, n_e, camera, cfg)
+    fp = face_point
+    w = cos_e ** (cfg.g + 2.0) * (fp.k_d * cos_r + fp.k_s * cos_m**fp.n_s)  # k_d G_d + k_s G_s
+    return w @ radiance / (d0 * d0) + fp.k_a * cfg.ambient

@@ -23,7 +23,7 @@ from typing import List, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import DomainError, GeometryError
-from .optics import EmitterUnit, FacePoint, OpticsConfig, unit, vec3
+from .optics import OpticsConfig, reflection_cosines, unit, vec3
 from .ppm import require_image
 
 _COPLANAR_TOL = 1e-9
@@ -84,13 +84,6 @@ class ScreenModel:
     @property
     def cols(self) -> int:
         return self.positions.shape[1]
-
-    def emitter_units(self) -> List[EmitterUnit]:
-        return [
-            EmitterUnit(self.positions[i, j], self.radiance[i, j])
-            for i in range(self.rows)
-            for j in range(self.cols)
-        ]
 
     def with_radiance(self, radiance: np.ndarray) -> "ScreenModel":
         """Same geometry, new per-unit radiance grid."""
@@ -179,11 +172,6 @@ class FaceModel:
     def grid_shape(self) -> Tuple[int, int]:
         return self.positions.shape[:2]
 
-    def point(self, u: int, v: int) -> FacePoint:
-        return FacePoint(
-            self.positions[u, v], self.normals[u, v], self.k_d, self.k_s, self.k_a, self.n_s
-        )
-
 
 def build_face(
     center,
@@ -261,28 +249,13 @@ def face_screen_weights(scene: Scene) -> np.ndarray:
     all cosines clamped at 0.  Shape (U*V, rows*cols).
     """
     face, screen = scene.face, scene.screen
-    fpos = face.positions.reshape(-1, 3)
-    fnrm = face.normals.reshape(-1, 3)
-    epos = screen.positions.reshape(-1, 3)
-
-    ef = fpos[:, None, :] - epos[None, :, :]  # emitter -> face
-    d2 = np.einsum("peq,peq->pe", ef, ef)
-    if np.any(d2 == 0.0):
-        raise GeometryError("a face point coincides with a screen unit")
-    d = np.sqrt(d2)
-    e_hat = ef / d[:, :, None]
-
-    cos_e = np.clip(e_hat @ screen.normal, 0.0, 1.0)
-    cos_r = np.clip(-np.einsum("peq,pq->pe", e_hat, fnrm), 0.0, 1.0)
-    dot_en = np.einsum("peq,pq->pe", e_hat, fnrm)
-    m_hat = e_hat - 2.0 * dot_en[:, :, None] * fnrm[:, None, :]
-    view = scene.camera - fpos
-    vn = np.linalg.norm(view, axis=1)
-    if np.any(vn == 0.0):
-        raise GeometryError("camera coincides with a face point")
-    v_hat = view / vn[:, None]
-    cos_m = np.clip(np.einsum("peq,pq->pe", m_hat, v_hat), 0.0, 1.0)
-
+    cos_e, cos_r, cos_m, d2 = reflection_cosines(
+        face.positions.reshape(-1, 3),
+        face.normals.reshape(-1, 3),
+        screen.positions.reshape(-1, 3),
+        screen.normal,
+        scene.camera,
+    )
     falloff = cos_e**scene.optics.g / d2
     return falloff * (face.k_d * cos_r + face.k_s * cos_m**face.n_s)
 
@@ -355,6 +328,7 @@ def simulate_weight_curves(
         raise DomainError("need at least two screen units")
     screen_n = np.array([0.0, 1.0, 0.0])
     cam = np.array([float(camera_x), 0.0, 0.0])
+    epos = np.stack([xs, np.zeros_like(xs), np.zeros_like(xs)], axis=1)
     curves = []
     for pos, nrm in points:
         p = _pad3(pos)
@@ -362,18 +336,8 @@ def simulate_weight_curves(
             raise GeometryError("face point lies on the screen line")
         n = _pad3(nrm)
         n = n / np.linalg.norm(n)
-
-        epos = np.stack([xs, np.zeros_like(xs), np.zeros_like(xs)], axis=1)
-        ef = p[None, :] - epos
-        d = np.linalg.norm(ef, axis=1)
-        e_hat = ef / d[:, None]
-        cos_e = np.clip(e_hat @ screen_n, 0.0, 1.0)
-        cos_r = np.clip(-(e_hat @ n), 0.0, 1.0)
-        m_hat = e_hat - 2.0 * (e_hat @ n)[:, None] * n[None, :]
-        v = cam - p
-        v_hat = v / np.linalg.norm(v)
-        cos_m = np.clip(m_hat @ v_hat, 0.0, 1.0)
-
+        cosines = reflection_cosines(p[None], n[None], epos, screen_n, cam)
+        cos_e, cos_r, cos_m = (c[0] for c in cosines[:3])
         w = cos_e**g * cos_e * cos_e
         curves.append(WeightCurve(xs.copy(), w * cos_r, w * cos_m**n_s))
     return curves

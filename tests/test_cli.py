@@ -151,6 +151,56 @@ def test_attack_invalid_model_exits_1(pipeline, tmp_path):
     assert run("attack", str(bad), str(pipeline["data"] / "test")) == 1
 
 
+def _assert_one_error_line(capsys, code):
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+@pytest.mark.parametrize(
+    "path, value, named",
+    [
+        (None, None, "'layout'"),  # the bare {"kind": ...} document
+        (("l_size",), "32", "'l_size'"),
+        (("layout", "counts"), None, "'counts'"),
+        (("feature_params", "spatial"), None, "'spatial'"),
+        (("discriminator",), [], "'discriminator'"),
+        (("predictors", 1, "w2"), None, "predictors[1]: missing key 'w2'"),
+    ],
+)
+def test_attack_malformed_model_one_error_line(pipeline, tmp_path, capsys, path, value, named):
+    doc = json.loads(pipeline["model"].read_text())
+    if path is None:
+        doc = {"kind": doc["kind"]}
+    else:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is None:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    line = _assert_one_error_line(capsys, run("attack", str(bad), str(pipeline["data"] / "test")))
+    assert str(bad) in line and named in line
+
+
+@pytest.mark.parametrize(
+    "row, named",
+    [("2\n", "seq.csv:3"), ("2,x\n", "seq.csv:3"), ("2,-5\n", "-5")],
+)
+def test_hlc_malformed_label_csv_one_error_line(tmp_path, capsys, row, named):
+    seq = tmp_path / "seq.csv"
+    seq.write_text("t,label_index\n1,0\n" + row)
+    line = _assert_one_error_line(capsys, run("hlc", str(seq), "--out", str(tmp_path / "z.csv")))
+    assert named in line
+    assert not (tmp_path / "z.csv").exists()
+
+
 def test_hlc_command_with_truth(pipeline, tmp_path, capsys):
     from facelight.hlc import LabelSequence, write_label_sequence
 

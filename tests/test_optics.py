@@ -5,18 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle_optics as oracle
+from oracle_optics import (
+    angular_distribution,
+    diffuse_weight,
+    incident_intensity,
+    mirror_direction,
+    specular_weight,
+)
+
 from facelight.errors import DomainError, GeometryError
 from facelight.optics import (
     EmitterUnit,
     FacePoint,
     OpticsConfig,
-    angular_distribution,
-    diffuse_weight,
-    incident_intensity,
-    mirror_direction,
     reflected_intensity,
     reflected_intensity_planar,
-    specular_weight,
+    reflection_cosines,
     unit,
     vec3,
 )
@@ -250,3 +255,80 @@ def test_camera_on_face_point_rejected():
     cfg = OpticsConfig(ambient=vec3(1, 1, 1))
     with pytest.raises(GeometryError):
         reflected_intensity(fp, [], vec3(0, 0, 1), fp.position, cfg)
+
+
+# --- the reflection-geometry kernel against the per-emitter loop oracle -----
+
+def _random_tilted_setup(rng):
+    """Random planar setup with a tilted screen, emitters on its plane, off-axis camera."""
+    fp, _, _, _, cfg = _random_planar_setup(rng)
+    n_e = unit(np.array([rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2), 1.0]))
+    u = unit(np.cross([0.0, 1.0, 0.0], n_e))
+    v = np.cross(n_e, u)
+    emitters = [
+        EmitterUnit(rng.uniform(-0.5, 0.5) * u + rng.uniform(-0.3, 0.3) * v, rng.uniform(0, 100, size=3))
+        for _ in range(rng.integers(1, 9))
+    ]
+    camera = np.array([rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4), rng.uniform(0.01, 0.15)])
+    return fp, emitters, n_e, camera, cfg
+
+
+def test_reflection_cosines_match_scalar_helpers():
+    rng = np.random.default_rng(3)
+    n_e = unit(np.array([0.2, -0.1, 1.0]))
+    fpos = rng.uniform(-0.3, 0.3, (7, 3)) + [0.0, 0.0, 0.6]
+    fnrm = np.array([unit(n) for n in rng.uniform(-0.5, 0.5, (7, 3)) + [0.0, 0.0, -1.0]])
+    epos = rng.uniform(-0.4, 0.4, (5, 3)) * [1.0, 1.0, 0.0]
+    camera = np.array([0.25, -0.1, 0.05])
+    cos_e, cos_r, cos_m, d2 = reflection_cosines(fpos, fnrm, epos, n_e, camera)
+    assert cos_e.shape == cos_r.shape == cos_m.shape == d2.shape == (7, 5)
+    for p in range(7):
+        v_hat = unit(camera - fpos[p])
+        for e in range(5):
+            ef = fpos[p] - epos[e]
+            e_hat = unit(ef)
+            expect = [
+                oracle._cos_clamped(e_hat, n_e),
+                oracle._cos_clamped(-e_hat, fnrm[p]),
+                oracle._cos_clamped(mirror_direction(e_hat, fnrm[p]), v_hat),
+                float(ef @ ef),
+            ]
+            got = [cos_e[p, e], cos_r[p, e], cos_m[p, e], d2[p, e]]
+            np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-15)
+
+
+def test_intensity_forms_match_loop_oracle():
+    rng = np.random.default_rng(99)
+    origin = np.zeros(3)
+    for _ in range(200):
+        fp, emitters, n_e, camera, cfg = _random_tilted_setup(rng)
+        np.testing.assert_allclose(
+            reflected_intensity(fp, emitters, n_e, camera, cfg),
+            oracle.reflected_intensity(fp, emitters, n_e, camera, cfg),
+            rtol=1e-12,
+        )
+        np.testing.assert_allclose(
+            reflected_intensity_planar(fp, emitters, n_e, origin, camera, cfg),
+            oracle.reflected_intensity_planar(fp, emitters, n_e, origin, camera, cfg),
+            rtol=1e-12,
+        )
+
+
+@pytest.mark.parametrize("where", ["emitter", "camera"])
+def test_coincident_points_raise_like_the_oracle(where):
+    fp = FacePoint(vec3(0.1, 0.0, 0.5), vec3(0, 0, -1))
+    n_e = vec3(0, 0, 1)
+    emitter_pos = fp.position if where == "emitter" else vec3(0, 0, 0)
+    camera = fp.position if where == "camera" else vec3(0, 0.1, 0.1)
+    emitters = [EmitterUnit(emitter_pos, vec3(10, 10, 10))]
+    cfg = OpticsConfig(ambient=vec3(1, 1, 1))
+    calls = [
+        lambda: reflection_cosines(fp.position[None], fp.normal[None], emitter_pos[None], n_e, camera),
+        lambda: reflected_intensity(fp, emitters, n_e, camera, cfg),
+        lambda: oracle.reflected_intensity(fp, emitters, n_e, camera, cfg),
+        lambda: reflected_intensity_planar(fp, emitters, n_e, np.zeros(3), camera, cfg),
+        lambda: oracle.reflected_intensity_planar(fp, emitters, n_e, np.zeros(3), camera, cfg),
+    ]
+    for call in calls:
+        with pytest.raises(GeometryError):
+            call()

@@ -1,12 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
+import oracle_optics as oracle
+
 from facelight.errors import DomainError, GeometryError
-from facelight.optics import OpticsConfig, reflected_intensity, vec3
+from facelight.optics import OpticsConfig, unit, vec3
 from facelight.scene import (
     Scene,
     build_face,
     count_local_maxima,
+    face_screen_weights,
     fwhm,
     peak_location,
     quantize,
@@ -163,12 +168,34 @@ def test_render_matches_per_point_operation():
     content[:, 4:, 2] = 170
     scene = make_scene(content, exposure=1.0)
     linear = render_linear(scene)
-    emitters = scene.screen.emitter_units()
+    emitters = oracle.emitter_units(scene.screen)
     for u, v in [(0, 0), (3, 5), (7, 2)]:
-        expect = reflected_intensity(
-            scene.face.point(u, v), emitters, scene.screen.normal, scene.camera, scene.optics
+        expect = oracle.reflected_intensity(
+            oracle.face_point(scene.face, u, v), emitters, scene.screen.normal, scene.camera, scene.optics
         )
         assert np.allclose(linear[u, v], expect, rtol=1e-9)
+
+
+def test_weights_match_loop_oracle_on_random_scenes():
+    # tilted screen normal, off-axis camera: every face point's row of the
+    # weight matrix, applied to the radiance, is the oracle's per-emitter sum
+    rng = np.random.default_rng(31)
+    for _ in range(4):
+        normal = unit(np.array([rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3), 1.0]))
+        content = rng.integers(0, 256, size=(5, 7, 3)).astype(np.uint8)
+        screen = screen_from_image(content, (0.6, 0.34), (5, 7), (0, 0, 0), normal)
+        face = build_face((rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05), 0.45), (0.08, 0.10, 0.09),
+                          (5, 6), k_s=rng.uniform(0.1, 0.5), n_s=rng.uniform(1, 5))
+        camera = vec3(rng.uniform(-0.2, 0.2), rng.uniform(0.12, 0.2), rng.uniform(0.0, 0.1))
+        scene = Scene(screen, face, camera, OpticsConfig(rng.uniform(5, 40), rng.uniform(0, 5, size=3)))
+        linear = face_screen_weights(scene) @ screen.radiance.reshape(-1, 3) + face.k_a * scene.optics.ambient
+        emitters = oracle.emitter_units(screen)
+        for p in range(linear.shape[0]):
+            u, v = divmod(p, face.grid_shape[1])
+            expect = oracle.reflected_intensity(
+                oracle.face_point(face, u, v), emitters, screen.normal, camera, scene.optics
+            )
+            np.testing.assert_allclose(linear[p], expect, rtol=1e-12)
 
 
 def test_quantize_rounds_half_up_and_clamps():
@@ -228,6 +255,26 @@ def test_normal_parallel_to_screen_kills_diffuse():
     xs = np.linspace(-0.3, 0.3, 31)
     curves = simulate_weight_curves(xs, [((0.0, 0.4, 0.0), (0.0, 0.0, 1.0))], camera_x=0.0)
     assert np.all(curves[0].g_d == 0.0)
+
+
+def test_curves_match_scalar_weight_oracle():
+    xs = np.linspace(-0.3, 0.3, 31)
+    points = [((0.0, 0.25), (0.0, -1.0)), ((0.15, 0.4), (-0.3, -1.0)), ((-0.1, 0.3, 0.05), (0.2, -1.0, 0.3))]
+    g, n_s, camera_x = 30.0, 3.0, 0.05
+    curves = simulate_weight_curves(xs, points, camera_x, g, n_s)
+    cam = vec3(camera_x, 0, 0)
+    for curve, (pos, nrm) in zip(curves, points):
+        p = vec3(np.pad(pos, (0, 3 - len(pos))))
+        n = unit(np.pad(nrm, (0, 3 - len(nrm))))
+        v_hat = unit(cam - p)
+        for x, g_d, g_s in zip(xs, curve.g_d, curve.g_s):
+            e_hat = unit(p - vec3(x, 0, 0))
+            theta_e = math.acos(oracle._cos_clamped(e_hat, vec3(0, 1, 0)))
+            theta_r = math.acos(oracle._cos_clamped(-e_hat, n))
+            m_hat = oracle.mirror_direction(e_hat, n)
+            theta_m = math.acos(min(max(float(m_hat @ v_hat), -1.0), 1.0))
+            assert g_d == pytest.approx(oracle.diffuse_weight(theta_e, theta_r, g), rel=1e-12, abs=0)
+            assert g_s == pytest.approx(oracle.specular_weight(theta_e, theta_m, g, n_s), rel=1e-12, abs=0)
 
 
 def test_point_on_screen_line_rejected():
