@@ -10,11 +10,12 @@ reflection asymmetry disappears into the noise.
 """
 
 import argparse
+import dataclasses
 
 import numpy as np
 
-from facelight.analysis import mdc_search
 from facelight.config import ExperimentConfig, load_config
+from facelight.pipeline import mdc
 
 
 def main():
@@ -24,23 +25,10 @@ def main():
     args = parser.parse_args()
 
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    scene = cfg.build_scene()
-    fractions = cfg.mdc.fractions
-    table = np.array(
-        [
-            mdc_search(
-                scene,
-                fractions,
-                seed=seed,
-                noise_sigma=cfg.noise.pixel_sigma,
-                radiance_scale=cfg.screen.radiance_scale,
-            ).min_p
-            for seed in range(args.seeds)
-        ]
-    )
+    table = [mdc(dataclasses.replace(cfg, seed=seed)).min_p for seed in range(args.seeds)]
     medians = np.median(table, axis=0)
     print("fraction  median_min_p")
-    for fraction, p in zip(fractions, medians):
+    for fraction, p in zip(cfg.mdc.fractions, medians):
         marker = "quiet" if p >= 0.05 else "detected"
         print(f"{fraction:8.4f}  {p:12.4g}  {marker}")
 

@@ -11,10 +11,9 @@ peaks.
 
 import argparse
 
-import numpy as np
-
 from facelight.config import ExperimentConfig, load_config
-from facelight.scene import fwhm, peak_location, simulate_weight_curves, write_weight_curves_csv
+from facelight.pipeline import weight_curves
+from facelight.scene import fwhm, peak_location, write_weight_curves_csv
 
 
 def main():
@@ -24,14 +23,11 @@ def main():
     args = parser.parse_args()
 
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    ws = cfg.weight_sim
-    xs = np.linspace(ws.x_min, ws.x_max, ws.units)
-    points = [((p[0], p[1]), (p[2], p[3])) for p in ws.points]
-    curves = simulate_weight_curves(xs, points, ws.camera_x, cfg.optics.g, cfg.face.n_s)
+    curves = weight_curves(cfg)
     write_weight_curves_csv(args.out, curves)
-    for i, (curve, point) in enumerate(zip(curves, points)):
+    for i, (curve, point) in enumerate(zip(curves, cfg.weight_sim.points)):
         print(
-            f"point {i} at {tuple(point[0])}: diffuse peak x = {peak_location(curve):+.3f}, "
+            f"point {i} at {tuple(point[:2])}: diffuse peak x = {peak_location(curve):+.3f}, "
             f"fwhm = {fwhm(curve):.3f}"
         )
     print(f"curves written to {args.out}")

@@ -13,32 +13,9 @@ import time
 
 import numpy as np
 
-from facelight.classifier import predict_features, train_two_tier
 from facelight.config import ExperimentConfig, load_config
-from facelight.dataset import generate_split, images_and_labels
-from facelight.features import FeatureParams, extract_features
-from facelight.hlc import LabelSequence, correct_labels
-from facelight.labels import accuracy
-
-
-def run_seed(cfg: ExperimentConfig) -> tuple:
-    layout = cfg.label_layout()
-    seed = cfg.require_seed()
-    x_train, y_train = images_and_labels(generate_split(cfg, "train"))
-    x_test, y_test = images_and_labels(generate_split(cfg, "test"))
-    params = FeatureParams.from_seed(seed)
-    f_train = extract_features(x_train, params, cfg.l_size, cfg.p_grid)
-    f_test = extract_features(x_test, params, cfg.l_size, cfg.p_grid)
-    model, _ = train_two_tier(
-        f_train, y_train, layout,
-        epochs=cfg.train.epochs, batch_size=cfg.train.batch_size, lr=cfg.train.learning_rate,
-        seed=seed, feature_params=params, l_size=cfg.l_size, p_grid=cfg.p_grid,
-    )
-    predicted = predict_features(model, f_test)
-    pre = accuracy(predicted, y_test)
-    corrected = correct_labels(LabelSequence(tuple(int(v) for v in predicted), cfg.delta), cfg.hlc)
-    post = accuracy(corrected.labels, y_test)
-    return pre, post
+from facelight.dataset import generate_dataset
+from facelight.pipeline import run_attack
 
 
 def main():
@@ -55,10 +32,10 @@ def main():
         if args.l_size is not None:
             cfg.l_size = args.l_size
         t0 = time.perf_counter()
-        pre, post = run_seed(cfg)
-        pres.append(pre)
-        posts.append(post)
-        print(f"seed {seed}: pre {pre:.4f}  post {post:.4f}  ({time.perf_counter() - t0:.0f}s)")
+        result = run_attack(cfg, generate_dataset(cfg))
+        pres.append(result.pre_accuracy)
+        posts.append(result.post_accuracy)
+        print(f"seed {seed}: pre {pres[-1]:.4f}  post {posts[-1]:.4f}  ({time.perf_counter() - t0:.0f}s)")
     print(f"median over {len(args.seeds)} seeds: pre {np.median(pres):.4f}  post {np.median(posts):.4f}")
 
 

@@ -2,8 +2,9 @@
 
 Subcommands cover the pipeline stages: simulate-weights, gen-dataset, train,
 attack, hlc, mdc, plus run-all chaining gen-dataset -> train -> attack ->
-hlc.  Every command is deterministic under a fixed --seed and writes its
-artifacts through the same library writers the in-process API uses.
+hlc.  The commands are front ends over `pipeline`: they turn flags into the
+config, read and write files, and print.  Every command is deterministic under
+a fixed --seed.
 
 Exit codes: 0 success, 1 domain/value errors, 2 usage or I/O errors.
 """
@@ -11,15 +12,14 @@ Exit codes: 0 success, 1 domain/value errors, 2 usage or I/O errors.
 from __future__ import annotations
 
 import argparse
+import csv
+import dataclasses
 import os
 import sys
 
-import numpy as np
-
-from . import analysis, classifier, dataset, hlc, scene
+from . import analysis, classifier, dataset, hlc, pipeline, scene
 from .config import ExperimentConfig, default_config_json, load_config
 from .errors import DomainError
-from .features import FeatureParams, extract_features
 from .labels import accuracy
 
 
@@ -27,17 +27,26 @@ def _load_config(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
-    for attr, field in (
-        ("epochs", "epochs"),
-        ("batch", "batch_size"),
-        ("lr", "learning_rate"),
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
-            setattr(cfg.train, field, value)
+    train = {
+        field: getattr(args, attr)
+        for attr, field in (("epochs", "epochs"), ("batch", "batch_size"), ("lr", "learning_rate"))
+        if getattr(args, attr, None) is not None
+    }
+    cfg.train = dataclasses.replace(cfg.train, **train)
     if getattr(args, "l_size", None) is not None:
         cfg.l_size = args.l_size
+    if getattr(args, "fractions", None):
+        cfg.mdc.fractions = [eval_fraction(tok) for tok in args.fractions.split(",")]
     return cfg
+
+
+def _read_labels(path, cfg: ExperimentConfig) -> hlc.LabelSequence:
+    """A label CSV whose labels all lie below the config's label count."""
+    seq = hlc.read_label_sequence(path)
+    num_labels = cfg.label_layout().num_labels
+    if max(seq.labels) >= num_labels:
+        raise DomainError(f"{path}: label {max(seq.labels)} out of range for {num_labels} labels")
+    return seq
 
 
 def _hlc_params(args, cfg: ExperimentConfig) -> hlc.HlcParams:
@@ -57,11 +66,7 @@ def _add_hlc_flags(sub) -> None:
 
 
 def cmd_simulate_weights(args) -> int:
-    cfg = _load_config(args)
-    ws = cfg.weight_sim
-    xs = np.linspace(ws.x_min, ws.x_max, ws.units)
-    points = [((p[0], p[1]), (p[2], p[3])) for p in ws.points]
-    curves = scene.simulate_weight_curves(xs, points, ws.camera_x, cfg.optics.g, cfg.face.n_s)
+    curves = pipeline.weight_curves(_load_config(args))
     scene.write_weight_curves_csv(args.out, curves)
     for i, curve in enumerate(curves):
         print(f"point {i} g_d_peak_x {scene.peak_location(curve, 'g_d')!r}")
@@ -83,30 +88,9 @@ def _train_split_dir(dataset_dir: str) -> str:
     return os.path.join(dataset_dir, "train")
 
 
-def _train_model(cfg: ExperimentConfig, dataset_dir: str):
-    records = dataset.read_split(_train_split_dir(dataset_dir))
-    images, labels = dataset.images_and_labels(records)
-    seed = cfg.require_seed()
-    params = FeatureParams.from_seed(seed)
-    feats = extract_features(images, params, cfg.l_size, cfg.p_grid)
-    return classifier.train_two_tier(
-        feats,
-        labels,
-        cfg.label_layout(),
-        epochs=cfg.train.epochs,
-        batch_size=cfg.train.batch_size,
-        lr=cfg.train.learning_rate,
-        seed=seed,
-        feature_params=params,
-        l_size=cfg.l_size,
-        p_grid=cfg.p_grid,
-    )
-
-
-def _write_loss_log(path, log) -> None:
-    import csv
-
-    with open(path, "w", newline="", encoding="ascii") as fh:
+def _write_model(model, log, model_path, losses_path) -> None:
+    classifier.save_model(model, model_path)
+    with open(losses_path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(["head", "epoch", "batch", "loss"])
         for row in log:
@@ -115,32 +99,23 @@ def _write_loss_log(path, log) -> None:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    model, log = _train_model(cfg, args.dataset_dir)
-    classifier.save_model(model, args.model_out)
-    losses_path = args.losses or args.model_out + ".losses.csv"
-    _write_loss_log(losses_path, log)
+    model, log = pipeline.train(cfg, dataset.read_split(_train_split_dir(args.dataset_dir)))
+    _write_model(model, log, args.model_out, args.losses or args.model_out + ".losses.csv")
     print(f"trained heads {1 + len(model.predictors)} batches {len(log)}")
     return 0
 
 
-def _predict_records(model, records):
-    images, labels = dataset.images_and_labels(records)
-    predicted = classifier.predict_images(model, images)
-    return predicted, labels
-
-
 def cmd_attack(args) -> int:
+    cfg = _load_config(args)
     if os.path.isfile(args.frames):
         # already-predicted sequence CSV: only correction/accuracy apply
-        seq = hlc.read_label_sequence(args.frames)
+        seq = _read_labels(args.frames, cfg)
         truth = None
     else:
         model = classifier.load_model(args.model)
-        records = dataset.read_split(args.frames)
-        predicted, truth = _predict_records(model, records)
-        seq = hlc.LabelSequence(tuple(int(v) for v in predicted))
+        images, truth = dataset.images_and_labels(dataset.read_split(args.frames))
+        seq = hlc.LabelSequence(tuple(int(v) for v in classifier.predict_images(model, images)))
     if args.use_hlc:
-        cfg = load_config(args.config) if args.config else ExperimentConfig()
         seq = hlc.correct_labels(seq, _hlc_params(args, cfg))
     if args.out:
         hlc.write_label_sequence(args.out, seq)
@@ -150,28 +125,18 @@ def cmd_attack(args) -> int:
 
 
 def cmd_hlc(args) -> int:
-    cfg = load_config(args.config) if args.config else ExperimentConfig()
-    seq = hlc.read_label_sequence(args.sequence)
+    cfg = _load_config(args)
+    seq = _read_labels(args.sequence, cfg)
+    truth = _read_labels(args.truth, cfg) if args.truth else None
     corrected = hlc.correct_labels(seq, _hlc_params(args, cfg))
     hlc.write_label_sequence(args.out, corrected)
-    if args.truth:
-        truth = hlc.read_label_sequence(args.truth)
+    if truth is not None:
         print(f"accuracy {accuracy(corrected.labels, truth.labels)!r}")
     return 0
 
 
 def cmd_mdc(args) -> int:
-    cfg = _load_config(args)
-    fractions = cfg.mdc.fractions
-    if args.fractions:
-        fractions = [float(eval_fraction(tok)) for tok in args.fractions.split(",")]
-    result = analysis.mdc_search(
-        cfg.build_scene(),
-        fractions,
-        seed=cfg.require_seed(),
-        noise_sigma=cfg.noise.pixel_sigma,
-        radiance_scale=cfg.screen.radiance_scale,
-    )
+    result = pipeline.mdc(_load_config(args))
     analysis.write_mdc_csv(args.out, result)
     print(f"mdc_boundary {result.boundary if result.boundary is not None else 'none'}")
     return 0
@@ -182,6 +147,8 @@ def eval_fraction(token: str) -> float:
     token = token.strip()
     if "/" in token:
         num, den = token.split("/", 1)
+        if float(den) == 0.0:
+            raise DomainError(f"fraction {token!r} has a zero denominator")
         return float(num) / float(den)
     return float(token)
 
@@ -189,21 +156,16 @@ def eval_fraction(token: str) -> float:
 def cmd_run_all(args) -> int:
     cfg = _load_config(args)
     os.makedirs(args.out, exist_ok=True)
-    data_dir = os.path.join(args.out, "dataset")
-    dataset.write_dataset(dataset.generate_dataset(cfg), data_dir)
-
-    model, log = _train_model(cfg, data_dir)
-    classifier.save_model(model, os.path.join(args.out, "model.json"))
-    _write_loss_log(os.path.join(args.out, "losses.csv"), log)
-
-    records = dataset.read_split(os.path.join(data_dir, "test"))
-    predicted, truth = _predict_records(model, records)
-    raw = hlc.LabelSequence(tuple(int(v) for v in predicted), cfg.delta)
-    hlc.write_label_sequence(os.path.join(args.out, "predicted.csv"), raw)
-    corrected = hlc.correct_labels(raw, cfg.hlc)
-    hlc.write_label_sequence(os.path.join(args.out, "corrected.csv"), corrected)
-    print(f"pre_hlc_accuracy {accuracy(raw.labels, truth)!r}")
-    print(f"post_hlc_accuracy {accuracy(corrected.labels, truth)!r}")
+    data = dataset.generate_dataset(cfg)
+    dataset.write_dataset(data, os.path.join(args.out, "dataset"))
+    result = pipeline.run_attack(cfg, data)
+    _write_model(
+        result.model, result.log, os.path.join(args.out, "model.json"), os.path.join(args.out, "losses.csv")
+    )
+    hlc.write_label_sequence(os.path.join(args.out, "predicted.csv"), result.raw)
+    hlc.write_label_sequence(os.path.join(args.out, "corrected.csv"), result.corrected)
+    print(f"pre_hlc_accuracy {result.pre_accuracy!r}")
+    print(f"post_hlc_accuracy {result.post_accuracy!r}")
     return 0
 
 

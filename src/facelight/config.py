@@ -62,6 +62,13 @@ class TrainSection:
     batch_size: int = 16
     learning_rate: float = 1e-4
 
+    def __post_init__(self):
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise DomainError(f"train.{name} must be >= 1, got {getattr(self, name)}")
+        if not self.learning_rate > 0:
+            raise DomainError(f"train.learning_rate must be > 0, got {self.learning_rate}")
+
 
 @dataclass
 class CategorySection:
@@ -121,6 +128,10 @@ class ExperimentConfig:
     weight_sim: WeightSimSection = field(default_factory=WeightSimSection)
     mdc: MdcSection = field(default_factory=MdcSection)
 
+    def __post_init__(self):
+        if self.frames_per_app < 1:
+            raise DomainError(f"frames_per_app must be >= 1, got {self.frames_per_app}")
+
     def require_seed(self) -> int:
         if self.seed is None:
             raise DomainError("a seed is required (config key 'seed' or --seed)")
@@ -163,14 +174,58 @@ _SECTION_TYPES = {
 }
 
 
-def _build_section(cls, data, path):
+_DEFAULTS = ExperimentConfig()
+
+# keys whose default is not of their value type: (the one literal also allowed, a typed default)
+_SPECIAL_KEYS = {"seed": (None, 0), "exposure": ("auto", 1.0)}
+
+
+def _matches(value, default) -> bool:
+    """Does the JSON value have the type of `default`?
+
+    An int passes for a float but a bool never for a number; a list passes
+    for a tuple of the same length, element by element.
+    """
+    if isinstance(default, float):
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(default, tuple):
+        return (
+            isinstance(value, (list, tuple))
+            and len(value) == len(default)
+            and all(map(_matches, value, default))
+        )
+    if isinstance(default, list):
+        return isinstance(value, (list, tuple)) and all(_matches(v, default[0]) for v in value)
+    return type(value) is type(default)
+
+
+def _check_type(template, key: str, value, where: str) -> None:
+    default = getattr(template, key)
+    if key in _SPECIAL_KEYS:
+        literal, default = _SPECIAL_KEYS[key]
+        if value == literal:
+            return
+    if not _matches(value, default):
+        if isinstance(default, (list, tuple)):
+            expected = f"a list like {json.dumps(default)}"
+        else:
+            expected = {float: "a number", int: "an integer", str: "a string"}[type(default)]
+        raise DomainError(f"config key '{where}' must be {expected}, got {json.dumps(value)}")
+
+
+def _build_section(cls, data, path, template):
     if not isinstance(data, dict):
         raise DomainError(f"config section '{path}' must be an object")
     valid = {f.name for f in fields(cls)}
     unknown = set(data) - valid
     if unknown:
         raise DomainError(f"unknown config key(s) in '{path}': {sorted(unknown)}")
-    return cls(**data)
+    for key, value in data.items():
+        _check_type(template, key, value, f"{path}.{key}")
+    try:
+        return cls(**data)
+    except TypeError as exc:
+        raise DomainError(f"bad config section '{path}': {exc}") from exc
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -183,17 +238,18 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     kwargs = {}
     for key, value in data.items():
         if key in _SECTION_TYPES:
-            kwargs[key] = _build_section(_SECTION_TYPES[key], value, key)
+            kwargs[key] = _build_section(_SECTION_TYPES[key], value, key, getattr(_DEFAULTS, key))
         elif key == "categories":
             if not isinstance(value, list):
                 raise DomainError("config key 'categories' must be a list")
-            kwargs[key] = [_build_section(CategorySection, c, "categories[]") for c in value]
+            kwargs[key] = [
+                _build_section(CategorySection, c, f"categories[{i}]", _DEFAULTS.categories[0])
+                for i, c in enumerate(value)
+            ]
         else:
+            _check_type(_DEFAULTS, key, value, key)
             kwargs[key] = value
-    try:
-        return ExperimentConfig(**kwargs)
-    except TypeError as exc:
-        raise DomainError(f"bad config: {exc}") from exc
+    return ExperimentConfig(**kwargs)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

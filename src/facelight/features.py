@@ -7,8 +7,8 @@ cell means).  Convolution weights are never trained; they are drawn once from
 a seeded Gaussian (std 0.1) and only the classifier heads on top learn.
 
 Channel count stays 3 end to end, so the attention MLP is 3 -> 3 -> 3 with no
-reduction.  Public functions take one (3, H, W) tensor; `*_batch` variants
-take (N, 3, H, W) and run the identical arithmetic vectorized.
+reduction.  The stage functions take one (3, H, W) tensor or a batch
+(N, 3, H, W) and run the identical arithmetic on either.
 """
 
 from __future__ import annotations

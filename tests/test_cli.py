@@ -1,5 +1,10 @@
+import contextlib
+import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,7 +196,7 @@ def test_attack_malformed_model_one_error_line(pipeline, tmp_path, capsys, path,
 
 @pytest.mark.parametrize(
     "row, named",
-    [("2\n", "seq.csv:3"), ("2,x\n", "seq.csv:3"), ("2,-5\n", "-5")],
+    [("2\n", "seq.csv:3"), ("2,x\n", "seq.csv:3"), ("2,-5\n", "-5"), ("2,29\n", "seq.csv: label 29")],
 )
 def test_hlc_malformed_label_csv_one_error_line(tmp_path, capsys, row, named):
     seq = tmp_path / "seq.csv"
@@ -317,3 +322,134 @@ def test_attack_accuracy_line_is_plain_decimal(pipeline, tmp_path, capsys):
     assert line.startswith("accuracy ")
     float(line.split()[1])
     assert "np." not in line
+
+
+def test_mdc_zero_denominator_one_error_line(tmp_path, tiny_config, capsys):
+    code = run("mdc", "--config", tiny_config, "--out", str(tmp_path / "x.csv"), "--fractions", "1/0")
+    assert "zero denominator" in _assert_one_error_line(capsys, code)
+
+
+@pytest.mark.parametrize(
+    "section, key, value, named",
+    [
+        ("screen", "rows", "x", "'screen.rows'"),
+        ("noise", "pixel_sigma", "a", "'noise.pixel_sigma'"),
+        (None, "frames_per_app", 0, "frames_per_app"),
+        ("train", "epochs", True, "'train.epochs'"),
+        ("face", "center", [0.0, 0.45], "'face.center'"),
+        (None, "seed", "1", "'seed'"),
+        (None, "exposure", "bright", "'exposure'"),
+        ("train", "batch_size", 0, "train.batch_size"),
+        ("train", "learning_rate", 0, "train.learning_rate"),
+        ("categories", 0, {"name": "alpha"}, "categories[0]"),
+    ],
+)
+def test_bad_config_value_one_error_line(tmp_path, capsys, section, key, value, named):
+    doc = json.loads(json.dumps(TINY))
+    parent = doc if section is None else doc.setdefault(section, {})
+    parent[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code = run("gen-dataset", "--config", str(path), "--out", str(tmp_path / "x"))
+    assert named in _assert_one_error_line(capsys, code)
+    assert not (tmp_path / "x").exists()
+
+
+def test_train_flag_out_of_range_one_error_line(tmp_path, tiny_config, capsys):
+    code = run("run-all", "--config", tiny_config, "--out", str(tmp_path / "r"), "--epochs", "0")
+    assert "train.epochs" in _assert_one_error_line(capsys, code)
+
+
+@pytest.mark.parametrize("command", ["hlc-truth", "attack"])
+def test_label_beyond_layout_one_error_line(tmp_path, tiny_config, capsys, command):
+    good = tmp_path / "good.csv"
+    bad = tmp_path / "bad.csv"
+    good.write_text("t,label_index\n1,0\n2,3\n")
+    bad.write_text("t,label_index\n1,0\n2,4\n")  # TINY has 4 labels
+    out = str(tmp_path / "z.csv")
+    if command == "attack":
+        argv = ("attack", "unused-model.json", str(bad), "--config", tiny_config, "--out", out)
+    else:
+        argv = ("hlc", str(good), "--truth", str(bad), "--config", tiny_config, "--out", out)
+    line = _assert_one_error_line(capsys, run(*argv))
+    assert f"{bad}: label 4" in line
+
+
+NOISY = {**TINY, "noise": {"pixel_sigma": 0.3}}  # pre-correction accuracy below 1.0
+
+
+@pytest.fixture(scope="module")
+def run_all_noisy(tmp_path_factory):
+    """run-all once on NOISY; returns its directory, config and printed accuracies."""
+    root = tmp_path_factory.mktemp("run_all")
+    config_path = root / "config.json"
+    config_path.write_text(json.dumps(NOISY))
+    out = root / "out"
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        assert run("run-all", "--config", str(config_path), "--out", str(out)) == 0
+    acc = dict(line.split() for line in printed.getvalue().splitlines())
+    return {
+        "root": root, "config": str(config_path), "out": out,
+        "pre": float(acc["pre_hlc_accuracy"]), "post": float(acc["post_hlc_accuracy"]),
+    }
+
+
+def test_run_all_equals_train_attack_hlc(run_all_noisy):
+    r = run_all_noisy
+    out, root, config = r["out"], r["root"], r["config"]
+    assert r["pre"] < 1.0
+    model = root / "model.json"
+    assert run("train", str(out / "dataset"), str(model), "--config", config,
+               "--losses", str(root / "losses.csv")) == 0
+    assert model.read_bytes() == (out / "model.json").read_bytes()
+    assert (root / "losses.csv").read_bytes() == (out / "losses.csv").read_bytes()
+    predicted = root / "predicted.csv"
+    assert run("attack", str(model), str(out / "dataset" / "test"), "--out", str(predicted)) == 0
+    assert predicted.read_bytes() == (out / "predicted.csv").read_bytes()
+    corrected = root / "corrected.csv"
+    assert run("hlc", str(predicted), "--config", config, "--out", str(corrected)) == 0
+    assert corrected.read_bytes() == (out / "corrected.csv").read_bytes()
+
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _env():
+    src = str(SCRIPTS.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def _script(name, *argv, cwd):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *map(str, argv)],
+        capture_output=True, text=True, env=_env(), cwd=cwd, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_attack_script_matches_run_all(run_all_noisy, tmp_path):
+    r = run_all_noisy
+    lines = _script("run_attack_experiment.py", "--config", r["config"], "--seeds", NOISY["seed"], cwd=tmp_path)
+    expected = f"seed {NOISY['seed']}: pre {r['pre']:.4f}  post {r['post']:.4f}  "
+    assert lines[0].startswith(expected)
+
+
+def test_mdc_script_matches_cli(tmp_path, tiny_config):
+    assert run("mdc", "--config", tiny_config, "--seed", "0", "--out", str(tmp_path / "mdc.csv")) == 0
+    rows = [line.split(",") for line in (tmp_path / "mdc.csv").read_text().splitlines()[1:]]
+    expected = ["fraction  median_min_p"] + [
+        f"{float(f):8.4f}  {float(p):12.4g}  {'quiet' if float(p) >= 0.05 else 'detected'}" for f, p in rows
+    ]
+    assert _script("mdc_experiment.py", "--config", tiny_config, "--seeds", 1, cwd=tmp_path) == expected
+
+
+def test_weight_curve_script_matches_cli(tmp_path, tiny_config, capsys):
+    assert run("simulate-weights", "--config", tiny_config, "--out", str(tmp_path / "cli.csv")) == 0
+    peaks = [float(line.split()[-1]) for line in capsys.readouterr().out.splitlines()]
+    lines = _script("reproduce_weight_curves.py", "--config", tiny_config, "--out", "script.csv", cwd=tmp_path)
+    assert (tmp_path / "script.csv").read_bytes() == (tmp_path / "cli.csv").read_bytes()
+    assert [line.split("diffuse peak x = ")[1].split(",")[0] for line in lines[:-1]] == [
+        f"{p:+.3f}" for p in peaks
+    ]
