@@ -35,7 +35,7 @@ from .analysis import (
     ks_test,
     mdc_search,
 )
-from .preprocess import load_tensor, preprocess, resize, save_tensor, upscale2x, znorm
+from .preprocess import preprocess, resize, upscale2x, znorm
 from .features import FeatureParams, cbam_forward, extract_features, pooled_features, resblock_forward
 from .classifier import (
     MlpHead,

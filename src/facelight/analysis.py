@@ -191,6 +191,8 @@ def mdc_search(
     fraction is distinguishable.
     """
     fractions = [float(f) for f in fractions]
+    if not fractions:
+        raise DomainError("the MDC search needs at least one area fraction")
     for f in fractions:
         if not 0.0 < f <= 1.0:
             raise DomainError(f"area fraction must lie in (0, 1], got {f}")

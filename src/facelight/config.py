@@ -96,6 +96,10 @@ class WeightSimSection:
 class MdcSection:
     fractions: List[float] = field(default_factory=lambda: [1 / 64, 1 / 25, 1 / 16, 1 / 4, 1.0])
 
+    def __post_init__(self):
+        if not self.fractions:
+            raise DomainError("mdc.fractions must not be empty")
+
 
 def default_categories() -> List[CategorySection]:
     """Six synthetic content categories; counts (6, 6, 6, 8, 2, 1)."""

@@ -9,6 +9,13 @@ a seeded Gaussian (std 0.1) and only the classifier heads on top learn.
 Channel count stays 3 end to end, so the attention MLP is 3 -> 3 -> 3 with no
 reduction.  The stage functions take one (3, H, W) tensor or a batch
 (N, 3, H, W) and run the identical arithmetic on either.
+
+Both the 3x3 residual convolutions and the 7x7 spatial-attention gate go
+through `conv2d_same`, which adds one shifted view of the zero-padded input
+per kernel tap into a single output buffer.  It never materialises the
+kh*kw windows of each pixel (an im2col copy would be N*Cin*H*W*kh*kw
+floats, 822 MB for the 7x7 gate on 256 frames at 64x64), so the working set
+stays a few copies of the chunk itself.
 """
 
 from __future__ import annotations
@@ -91,14 +98,33 @@ class FeatureParams:
 
 
 def conv2d_same(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Zero-padded same-size 2-D cross-correlation, (N, Cin, H, W) -> (N, Cout, H, W)."""
-    _, cin, kh, kw = kernel.shape
-    if x.shape[1] != cin:
-        raise DomainError(f"input has {x.shape[1]} channels, kernel expects {cin}")
+    """Zero-padded same-size 2-D cross-correlation, (N, Cin, H, W) -> (N, Cout, H, W).
+
+    Shift-and-add over the zero-padded tensor, one (Cout, Cin) matrix
+    product per kernel tap.  Each image plane is padded and flattened with
+    row stride Wp = W + 2 * (kw // 2), so tap (a, b) reads the contiguous
+    run that starts a * Wp + b further on.  The output is built in the same
+    layout; its last Wp - W columns per row mix neighbouring rows and are
+    dropped.
+    """
+    n, cin, h, w = x.shape
+    cout, cin_k, kh, kw = kernel.shape
+    if cin != cin_k:
+        raise DomainError(f"input has {cin} channels, kernel expects {cin_k}")
     ph, pw = kh // 2, kw // 2
-    padded = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(2, 3))
-    return np.einsum("nchwij,ocij->nohw", windows, kernel, optimize=True)
+    # one spare row at the bottom keeps the last tap's run inside the buffer
+    padded = np.pad(x, ((0, 0), (0, 0), (ph, ph + 1), (pw, pw)))
+    wp = w + 2 * pw
+    flat = padded.reshape(n, cin, -1)
+    span = h * wp
+    out = np.zeros((n, cout, span))
+    term = np.empty_like(out)
+    for a in range(kh):
+        for b in range(kw):
+            start = a * wp + b
+            np.matmul(kernel[:, :, a, b], flat[:, :, start : start + span], out=term)
+            out += term
+    return out.reshape(n, cout, h, wp)[..., :w]
 
 
 def _check_tensor(t) -> tuple[np.ndarray, bool]:

@@ -3,23 +3,15 @@
 All resampling is bilinear with half-pixel centers and edge clamping, so a
 same-size resize is an exact identity.  Functions accept a single (H, W, 3)
 uint8 image or a batch (N, H, W, 3); the batch path is the same code and the
-same arithmetic.
-
-Normalized tensors are channel-major float64 arrays (3, H, W), serializable
-to a flat binary format: magic ``FTT1``, three little-endian uint32 dims
-(channels, height, width), then the values as little-endian float64 in
-row-major channel-height-width order.
+same arithmetic.  Normalized tensors are channel-major float64 arrays
+(3, H, W).
 """
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 
 from .errors import DomainError
-
-TENSOR_MAGIC = b"FTT1"
 
 
 def _check_image(img) -> tuple[np.ndarray, bool]:
@@ -43,16 +35,22 @@ def _axis_taps(n_in: int, n_out: int):
 
 
 def bilinear_resize(image, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resample to (out_h, out_w); output rounds half-up to uint8."""
+    """Bilinear resample to (out_h, out_w); output rounds half-up to uint8.
+
+    Columns are interpolated once over the source rows, then each output
+    row blends two of those.  Every output element sees the same float
+    expression as when source rows are gathered first, so the bytes are
+    the same either way; this order only does less work.
+    """
     if out_h < 1 or out_w < 1:
         raise DomainError("output dimensions must be >= 1")
     img, batched = _check_image(image)
-    data = img.astype(float)
     r0, r1, tr = _axis_taps(img.shape[1], out_h)
     c0, c1, tc = _axis_taps(img.shape[2], out_w)
-    top = data[:, r0][:, :, c0] * (1 - tc)[None, None, :, None] + data[:, r0][:, :, c1] * tc[None, None, :, None]
-    bot = data[:, r1][:, :, c0] * (1 - tc)[None, None, :, None] + data[:, r1][:, :, c1] * tc[None, None, :, None]
-    out = top * (1 - tr)[None, :, None, None] + bot * tr[None, :, None, None]
+    tc = tc[None, None, :, None]
+    cols = img[:, :, c0] * (1 - tc) + img[:, :, c1] * tc
+    tr = tr[None, :, None, None]
+    out = cols[:, r0] * (1 - tr) + cols[:, r1] * tr
     out = np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)
     return out if batched else out[0]
 
@@ -88,30 +86,3 @@ def znorm(image) -> np.ndarray:
 def preprocess(image, l_size: int) -> np.ndarray:
     """Full preprocessing chain: upscale 2x, resize to l_size, z-normalize."""
     return znorm(resize(upscale2x(image), l_size))
-
-
-def save_tensor(path, tensor: np.ndarray) -> None:
-    tensor = np.asarray(tensor, dtype=np.float64)
-    if tensor.ndim != 3:
-        raise DomainError(f"expected a (C, H, W) tensor, got shape {tensor.shape}")
-    if not np.all(np.isfinite(tensor)):
-        raise DomainError("tensor values must be finite")
-    with open(path, "wb") as fh:
-        fh.write(TENSOR_MAGIC)
-        fh.write(struct.pack("<3I", *tensor.shape))
-        fh.write(tensor.astype("<f8").tobytes())
-
-
-def load_tensor(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != TENSOR_MAGIC:
-            raise DomainError(f"{path}: bad tensor magic {magic!r}")
-        c, h, w = struct.unpack("<3I", fh.read(12))
-        data = np.frombuffer(fh.read(c * h * w * 8), dtype="<f8")
-    if data.size != c * h * w:
-        raise DomainError(f"{path}: truncated tensor data")
-    tensor = data.reshape(c, h, w).astype(np.float64)
-    if not np.all(np.isfinite(tensor)):
-        raise DomainError(f"{path}: tensor values must be finite")
-    return tensor

@@ -1,13 +1,48 @@
-"""Naive loop-based references for the feature forward passes.
+"""References for the feature path: preprocessing and the forward passes.
 
-These deliberately avoid the vectorized code paths of the package: plain
-Python loops over output positions, so they serve as independent oracles for
-the einsum-based implementations.
+The loop versions deliberately avoid the vectorized code paths of the
+package: plain Python loops over output positions, so they serve as
+independent oracles.  Two whole-array references sit beside them, kept from
+earlier versions of the package so the replacements can be held to them:
+`conv2d_einsum`, the im2col-style convolution that einsums over every
+materialised kh x kw window, and `bilinear_resize_rows_first`, which gathers
+source rows before columns.
 """
 
 import math
 
 import numpy as np
+
+
+def conv2d_einsum(x, kernel):
+    """(N, C_in, H, W) x (C_out, C_in, kh, kw) -> (N, C_out, H, W) over a window copy."""
+    _, _, kh, kw = kernel.shape
+    ph, pw = kh // 2, kw // 2
+    padded = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(2, 3))
+    return np.einsum("nchwij,ocij->nohw", windows, kernel, optimize=True)
+
+
+def _bilinear_taps(n_in, n_out):
+    src = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
+    src = np.clip(src, 0.0, n_in - 1.0)
+    i0 = np.floor(src).astype(int)
+    i1 = np.minimum(i0 + 1, n_in - 1)
+    return i0, i1, src - i0
+
+
+def bilinear_resize_rows_first(image, out_h, out_w):
+    """(N, H, W, 3) or (H, W, 3) -> uint8 of size (out_h, out_w), half-pixel centers."""
+    img = np.asarray(image)
+    batched = img.ndim == 4
+    data = (img if batched else img[None]).astype(float)
+    r0, r1, tr = _bilinear_taps(data.shape[1], out_h)
+    c0, c1, tc = _bilinear_taps(data.shape[2], out_w)
+    top = data[:, r0][:, :, c0] * (1 - tc)[None, None, :, None] + data[:, r0][:, :, c1] * tc[None, None, :, None]
+    bot = data[:, r1][:, :, c0] * (1 - tc)[None, None, :, None] + data[:, r1][:, :, c1] * tc[None, None, :, None]
+    out = top * (1 - tr)[None, :, None, None] + bot * tr[None, :, None, None]
+    out = np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)
+    return out if batched else out[0]
 
 
 def conv2d_loops(x, kernel):

@@ -187,6 +187,12 @@ def test_mdc_boundary_none_when_everything_detected(template_scene):
     assert res.boundary is None
 
 
+@pytest.mark.parametrize("fractions", [[], [0.0], [1.5]])
+def test_mdc_rejects_bad_fractions(template_scene, fractions):
+    with pytest.raises(DomainError):
+        mdc_search(template_scene, fractions)
+
+
 def test_mdc_deterministic(template_scene):
     a = mdc_search(template_scene, [1 / 16, 1.0], seed=5)
     b = mdc_search(template_scene, [1 / 16, 1.0], seed=5)

@@ -342,6 +342,7 @@ def test_mdc_zero_denominator_one_error_line(tmp_path, tiny_config, capsys):
         ("train", "batch_size", 0, "train.batch_size"),
         ("train", "learning_rate", 0, "train.learning_rate"),
         ("categories", 0, {"name": "alpha"}, "categories[0]"),
+        ("mdc", "fractions", [], "mdc.fractions"),
     ],
 )
 def test_bad_config_value_one_error_line(tmp_path, capsys, section, key, value, named):

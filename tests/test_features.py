@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from oracle_nets import cbam_loops, conv2d_loops, pooled_loops, resblock_loops
+from oracle_nets import cbam_loops, conv2d_einsum, conv2d_loops, pooled_loops, resblock_loops
 
 from facelight.errors import DomainError
 from facelight.features import (
@@ -50,6 +52,22 @@ def test_conv_matches_loop_oracle():
     fast = conv2d_same(x[None], k)[0]
     slow = conv2d_loops(x, k)
     assert np.allclose(fast, slow, rtol=1e-6, atol=1e-12)
+
+
+@pytest.mark.parametrize("cin, cout, ksize", [(3, 3, 3), (2, 1, 7)])
+@pytest.mark.parametrize("n, h, w", [(1, 9, 9), (5, 11, 6), (3, 4, 13)])
+def test_conv_matches_einsum_oracle(cin, cout, ksize, n, h, w):
+    rng = np.random.default_rng([ksize, n, h, w])
+    x = rng.normal(size=(n, cin, h, w))
+    k = rng.normal(size=(cout, cin, ksize, ksize))
+    fast = conv2d_same(x, k)
+    assert fast.shape == (n, cout, h, w)
+    assert np.allclose(fast, conv2d_einsum(x, k), rtol=1e-12, atol=1e-13)
+
+
+def test_conv_channel_mismatch():
+    with pytest.raises(DomainError):
+        conv2d_same(np.zeros((1, 2, 4, 4)), np.zeros((3, 3, 3, 3)))
 
 
 def test_resblock_zero_everything():
@@ -154,3 +172,25 @@ def test_extract_features_batch_matches_single():
     singles = np.stack([extract_features(im, params, 12, 2) for im in imgs])
     assert np.allclose(batch, singles, rtol=1e-12, atol=1e-15)
     assert batch.shape == (4, feature_length(2))
+
+
+def test_extract_features_memory_bounded():
+    # 256 frames is one chunk; a per-pixel window copy of the 7x7 gate alone
+    # would be 256 * 2 * 64 * 64 * 49 float64 = 822 MB
+    imgs = np.random.default_rng(12).integers(0, 256, size=(256, 24, 24, 3), dtype=np.uint8)
+    params = FeatureParams.from_seed(12)
+    tracemalloc.start()
+    try:
+        extract_features(imgs, params, 64, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 256 * 2**20
+
+
+def test_extract_features_independent_of_chunking():
+    imgs = np.random.default_rng(13).integers(0, 256, size=(300, 10, 10, 3), dtype=np.uint8)
+    params = FeatureParams.from_seed(13)
+    whole = extract_features(imgs, params, 16, 2)
+    parts = np.concatenate([extract_features(imgs[:137], params, 16, 2), extract_features(imgs[137:], params, 16, 2)])
+    assert np.allclose(whole, parts, rtol=1e-12, atol=0)

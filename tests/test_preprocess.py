@@ -1,16 +1,10 @@
 import numpy as np
 import pytest
 
+from oracle_nets import bilinear_resize_rows_first
+
 from facelight.errors import DomainError
-from facelight.preprocess import (
-    bilinear_resize,
-    load_tensor,
-    preprocess,
-    resize,
-    save_tensor,
-    upscale2x,
-    znorm,
-)
+from facelight.preprocess import bilinear_resize, preprocess, resize, upscale2x, znorm
 
 
 def _gray(h, w, v):
@@ -75,6 +69,30 @@ def test_batch_resize_matches_single():
     assert np.array_equal(batch, single)
 
 
+@pytest.mark.parametrize(
+    "in_hw, out_hw",
+    [
+        ((24, 24), (48, 48)),  # upscale2x at L=64's source size
+        ((48, 48), (64, 64)),
+        ((48, 48), (32, 32)),
+        ((48, 48), (16, 16)),
+        ((7, 13), (11, 5)),
+        ((10, 3), (3, 17)),
+        ((1, 1), (5, 4)),
+        ((9, 6), (1, 1)),
+        ((1, 7), (3, 1)),
+    ],
+)
+def test_resize_matches_rows_first_oracle(in_hw, out_hw):
+    rng = np.random.default_rng([*in_hw, *out_hw])
+    imgs = rng.integers(0, 256, size=(4, *in_hw, 3), dtype=np.uint8)
+    batch = bilinear_resize(imgs, *out_hw)
+    assert batch.dtype == np.uint8
+    assert np.array_equal(batch, bilinear_resize_rows_first(imgs, *out_hw))
+    for img, got in zip(imgs, batch):
+        assert np.array_equal(bilinear_resize(img, *out_hw), got)
+
+
 def test_znorm_three_values():
     img = np.zeros((1, 3, 3), dtype=np.uint8)
     img[0, :, 0] = [1, 2, 3]
@@ -114,21 +132,3 @@ def test_preprocess_chain_shapes():
     out = preprocess(_gray(10, 14, 50), 16)
     assert out.shape == (3, 16, 16)
 
-
-def test_tensor_round_trip(tmp_path):
-    rng = np.random.default_rng(4)
-    t = rng.normal(size=(3, 5, 7))
-    path = tmp_path / "t.ftt"
-    save_tensor(path, t)
-    back = load_tensor(path)
-    assert np.array_equal(back, t)
-    raw = path.read_bytes()
-    assert raw[:4] == b"FTT1"
-    assert len(raw) == 4 + 12 + 3 * 5 * 7 * 8
-
-
-def test_tensor_rejects_non_finite(tmp_path):
-    t = np.zeros((3, 2, 2))
-    t[0, 0, 0] = np.inf
-    with pytest.raises(DomainError):
-        save_tensor(tmp_path / "bad.ftt", t)
