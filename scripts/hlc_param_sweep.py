@@ -9,11 +9,10 @@ averaged over seeds.
 """
 
 import argparse
-import csv
 
 import numpy as np
 
-from facelight.hlc import param_grid, sweep_params
+from facelight.hlc import param_grid, sweep_params, write_sweep_csv
 
 
 def noisy_steps(rng, n_labels=29, step_len=60, flip=0.05):
@@ -40,11 +39,7 @@ def main():
         totals += [acc for _, acc in sweep_params(noisy, truth, grid)]
     totals /= args.seeds
 
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sigma_s", "T_s", "sigma_e", "T_e", "accuracy"])
-        for params, acc in zip(grid, totals):
-            writer.writerow([params.sigma_s, params.t_s, params.sigma_e, params.t_e, f"{acc:.6f}"])
+    write_sweep_csv(args.out, [(params, float(acc)) for params, acc in zip(grid, totals)])
 
     best = int(np.argmax(totals))
     print(f"best mean accuracy {totals[best]:.4f} at {grid[best]}")

@@ -7,7 +7,7 @@ application was on the screen.
 """
 
 from .errors import DomainError, GeometryError
-from .labels import UNKNOWN, LabelLayout, accuracy, one_hot, split_label, unify_label
+from .labels import UNKNOWN, LabelLayout, accuracy, split_label, unify_label
 from .optics import (
     EmitterUnit,
     FacePoint,
@@ -28,8 +28,6 @@ from .scene import (
 from .analysis import (
     KsResult,
     MdcResult,
-    RatioMask,
-    blue_red_ratio_mask,
     ks_pvalue,
     ks_statistic,
     ks_test,
@@ -41,13 +39,11 @@ from .classifier import (
     MlpHead,
     TwoTierModel,
     adam_step,
-    cross_entropy,
     load_model,
-    predict,
     save_model,
     softmax,
     train_two_tier,
 )
-from .hlc import HlcParams, LabelSequence, correct_labels, end_of_step, start_of_step, sweep_params
+from .hlc import HlcParams, LabelSequence, correct_labels, sweep_params
 
 __version__ = "0.1.0"

@@ -1,10 +1,10 @@
 """Statistics over rendered face images.
 
-Provides the blue-to-red ratio mask, a two-sample Kolmogorov-Smirnov test
-(exact statistic, asymptotic p-value) and the minimally-differentiable-content
-search: shrink a left-red/right-blue probe image on an otherwise dark screen
-and find how small it can get while the two face halves still look
-statistically different.
+Provides a two-sample Kolmogorov-Smirnov test (exact statistic, asymptotic
+p-value) and the minimally-differentiable-content search: shrink a
+left-red/right-blue probe image on an otherwise dark screen and find how
+small it can get while the two face halves still look statistically
+different.
 """
 
 from __future__ import annotations
@@ -23,41 +23,11 @@ P_SIGNIFICANT = 0.05
 
 
 @dataclass(frozen=True)
-class RatioMask:
-    """Boolean blue-dominance mask; True ('white') where B/R exceeds the threshold."""
-
-    bits: np.ndarray
-
-    @property
-    def width(self) -> int:
-        return self.bits.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.bits.shape[0]
-
-
-@dataclass(frozen=True)
 class KsResult:
     d: float
     p: float
     n: int
     m: int
-
-
-def blue_red_ratio_mask(image, threshold: float) -> RatioMask:
-    """Mark pixels whose blue-to-red ratio exceeds `threshold`.
-
-    R = 0 counts as ratio +inf when B > 0 and as not-white when B = R = 0.
-    """
-    if threshold <= 0:
-        raise DomainError(f"ratio threshold must be > 0, got {threshold}")
-    image = require_image(image)
-    r = image[:, :, 0].astype(float)
-    b = image[:, :, 2].astype(float)
-    ratio = b / np.maximum(r, 1.0)  # r = 0 rows are overridden below
-    white = np.where(r > 0, ratio > threshold, b > 0)
-    return RatioMask(white)
 
 
 def ks_statistic(x, y) -> float:

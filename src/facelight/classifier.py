@@ -38,18 +38,6 @@ def softmax(logits) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy(p, target) -> float:
-    """-log p[target] for a one-hot target, with p floored at 1e-12."""
-    p = np.asarray(p, dtype=float)
-    target = np.asarray(target, dtype=float)
-    if p.shape != target.shape:
-        raise DomainError(f"shape mismatch: probs {p.shape} vs target {target.shape}")
-    ones = np.flatnonzero(target == 1.0)
-    if ones.size != 1 or not np.all((target == 0.0) | (target == 1.0)):
-        raise DomainError("target must be a one-hot vector")
-    return float(-np.log(max(p[ones[0]], PROB_FLOOR)))
-
-
 @dataclass(frozen=True)
 class AdamState:
     m: np.ndarray
@@ -277,20 +265,6 @@ def predict_features(model: TwoTierModel, features: np.ndarray) -> np.ndarray:
         ks = np.argmax(app_probs, axis=1)
         out[sel] = [unify_label(int(j), int(k), model.layout) for k in ks]
     return out
-
-
-def predict(model: TwoTierModel, image) -> Tuple[int, np.ndarray, np.ndarray]:
-    """Classify one face image.
-
-    Returns (unified label, category probabilities, application probabilities
-    of the selected category's predictor).
-    """
-    feats = extract_features(image, model.feature_params, model.l_size, model.p_grid)
-    cat_probs = model.discriminator.forward(feats)[0]
-    j = int(np.argmax(cat_probs))
-    app_probs = model.predictors[j].forward(feats)[0]
-    k = int(np.argmax(app_probs))
-    return unify_label(j, k, model.layout), cat_probs, app_probs
 
 
 def predict_images(model: TwoTierModel, images) -> np.ndarray:

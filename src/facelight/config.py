@@ -8,6 +8,7 @@ no default; it must come from the file or the command line.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import List, Optional, Tuple, Union
 
@@ -135,6 +136,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.frames_per_app < 1:
             raise DomainError(f"frames_per_app must be >= 1, got {self.frames_per_app}")
+        if not 0 < self.delta < math.inf:
+            raise DomainError(f"delta must be finite and > 0, got {self.delta}")
 
     def require_seed(self) -> int:
         if self.seed is None:

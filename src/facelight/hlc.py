@@ -12,13 +12,22 @@ tests:
 While a step is open every position is rewritten to the step label; positions
 covered by no step become UNKNOWN.  When a step closes the start test is
 re-evaluated at the same position.
+
+`correct_labels` makes one forward pass holding the open step.  The window
+counts come from each label's sorted positions, built once per call, so the
+start test is two bisections and the end test visits only the step label's
+positions inside its window.  Both tests keep the float expressions of the
+position-by-position definition (`count / length >= sigma`), so the labels
+equal those of the loop in `tests/oracle_hlc.py`.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import DomainError
 from .labels import UNKNOWN, accuracy
@@ -39,8 +48,8 @@ class LabelSequence:
             raise DomainError("label sequence must have length >= 1")
         if min(labels) < UNKNOWN:
             raise DomainError(f"labels must be >= {UNKNOWN}, got {min(labels)}")
-        if self.timestep <= 0:
-            raise DomainError(f"timestep must be > 0, got {self.timestep}")
+        if not 0 < self.timestep < math.inf:
+            raise DomainError(f"timestep must be finite and > 0, got {self.timestep}")
         object.__setattr__(self, "labels", labels)
 
     def __len__(self) -> int:
@@ -73,65 +82,36 @@ def _labels_of(y) -> Tuple[int, ...]:
     return tuple(int(v) for v in y)
 
 
-def count_label(label: int, segment: Sequence[int]) -> int:
-    """Occurrences of `label` in the segment (UNKNOWN equals only UNKNOWN)."""
-    return sum(1 for v in segment if v == label)
-
-
-def start_of_step(y, t: int, params: HlcParams) -> bool:
-    """Does a step start at 1-based position t?
-
-    True when y[t] holds at least a sigma_s share of the window
-    y[t .. min(t + T_s - 1, T)].  UNKNOWN never starts a step.
-    """
-    labels = _labels_of(y)
-    if not 1 <= t <= len(labels):
-        raise DomainError(f"position {t} out of range [1, {len(labels)}]")
-    current = labels[t - 1]
-    if current == UNKNOWN:
-        return False
-    window = labels[t - 1 : min(t - 1 + params.t_s, len(labels))]
-    return count_label(current, window) / len(window) >= params.sigma_s
-
-
-def end_of_step(y, step_label: int, t: int, params: HlcParams) -> bool:
-    """Has the step with `step_label` ended by 1-based position t?
-
-    False when some window y[t .. t + tau], tau <= min(T_e, T - t), still
-    contains the step label with share >= sigma_e; True otherwise.
-    """
-    labels = _labels_of(y)
-    if not 1 <= t <= len(labels):
-        raise DomainError(f"position {t} out of range [1, {len(labels)}]")
-    max_tau = min(params.t_e, len(labels) - t)
-    hits = 0
-    for tau in range(0, max_tau + 1):
-        if labels[t - 1 + tau] == step_label:
-            hits += 1
-        if hits / (tau + 1) >= params.sigma_e:
-            return False
-    return True
-
-
 def correct_labels(y, params: HlcParams = HlcParams()) -> LabelSequence:
     """Rewrite a predicted sequence into steps; off-step positions become UNKNOWN."""
     labels = _labels_of(y)
     timestep = y.timestep if isinstance(y, LabelSequence) else DEFAULT_TIMESTEP
     total = len(labels)
+    positions: Dict[int, List[int]] = {}
+    for i, v in enumerate(labels):
+        positions.setdefault(v, []).append(i)
     out: List[int] = []
-    t = 1
-    while t <= total:
-        if start_of_step(labels, t, params):
-            step = labels[t - 1]
-            out.append(step)
-            t += 1
-            while t <= total and not end_of_step(labels, step, t, params):
-                out.append(step)
-                t += 1
-            # step closed: re-test start at this same position
-        else:
-            out.append(UNKNOWN)
-            t += 1
+    step = UNKNOWN
+    for i, current in enumerate(labels):
+        if step != UNKNOWN:
+            # the step label's share of y[i .. p] peaks where y[p] holds it,
+            # so the end test only needs the step's own positions in the window
+            pos = positions[step]
+            last = min(i + params.t_e, total - 1)
+            first = j = bisect_left(pos, i)
+            while j < len(pos) and pos[j] <= last:
+                if (j - first + 1) / (pos[j] - i + 1) >= params.sigma_e:
+                    break
+                j += 1
+            else:
+                step = UNKNOWN  # closed: the start test runs at this same position
+        if step == UNKNOWN and current != UNKNOWN:
+            pos = positions[current]
+            stop = min(i + params.t_s, total)
+            first = bisect_left(pos, i)
+            if (bisect_left(pos, stop, first) - first) / (stop - i) >= params.sigma_s:
+                step = current
+        out.append(step)
     return LabelSequence(tuple(out), timestep)
 
 

@@ -2,16 +2,14 @@
 
 An application is addressed either by its (category j, app k) pair or by the
 unified index sum(K_i, i < j) + k over all K applications.  UNKNOWN (-1)
-marks timesteps belonging to no recognized application; it one-hot encodes as
-the all-zero vector and only ever equals itself.
+marks timesteps belonging to no recognized application and only ever equals
+itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
-
-import numpy as np
 
 from .errors import DomainError
 
@@ -76,17 +74,6 @@ def split_label(index: int, layout: LabelLayout) -> Tuple[int, int]:
         if index >= layout.offsets[j]:
             return j, index - layout.offsets[j]
     raise AssertionError("unreachable")
-
-
-def one_hot(index: int, size: int) -> np.ndarray:
-    """Unified label as a one-hot vector; UNKNOWN encodes as all zeros."""
-    vec = np.zeros(size)
-    if index == UNKNOWN:
-        return vec
-    if not 0 <= index < size:
-        raise DomainError(f"label {index} out of range [0, {size})")
-    vec[index] = 1.0
-    return vec
 
 
 def accuracy(pred: Sequence[int], truth: Sequence[int]) -> float:

@@ -1,4 +1,4 @@
-"""Binary PPM (P6, maxval 255) read/write for rendered face images and masks."""
+"""Binary PPM (P6, maxval 255) read/write for rendered face images."""
 
 from __future__ import annotations
 
@@ -60,10 +60,3 @@ def read_ppm(path) -> np.ndarray:
     if len(pixels) != w * h * 3:
         raise DomainError(f"{path}: truncated PPM pixel data")
     return np.frombuffer(pixels, dtype=np.uint8).reshape(h, w, 3).copy()
-
-
-def write_mask_ppm(path, bits) -> None:
-    """Write a boolean mask as a PPM: white (255) for True, black for False."""
-    bits = np.asarray(bits, dtype=bool)
-    img = np.where(bits[..., None], 255, 0).astype(np.uint8)
-    write_ppm(path, np.repeat(img, 3, axis=2))

@@ -6,12 +6,17 @@ independent oracles.  Two whole-array references sit beside them, kept from
 earlier versions of the package so the replacements can be held to them:
 `conv2d_einsum`, the im2col-style convolution that einsums over every
 materialised kh x kw window, and `bilinear_resize_rows_first`, which gathers
-source rows before columns.
+source rows before columns.  `one_hot` and `cross_entropy` are the
+per-sample label encoding and loss that the classifier computes in batches.
 """
 
 import math
 
 import numpy as np
+
+from facelight.classifier import PROB_FLOOR
+from facelight.errors import DomainError
+from facelight.labels import UNKNOWN
 
 
 def conv2d_einsum(x, kernel):
@@ -126,3 +131,26 @@ def pooled_loops(s, p_grid):
                 c0, c1 = (j * w) // p_grid, ((j + 1) * w) // p_grid
                 out.append(vals[r0:r1, c0:c1].mean())
     return np.array(out)
+
+
+def one_hot(index, size):
+    """Unified label as a one-hot vector; UNKNOWN encodes as all zeros."""
+    vec = np.zeros(size)
+    if index == UNKNOWN:
+        return vec
+    if not 0 <= index < size:
+        raise DomainError(f"label {index} out of range [0, {size})")
+    vec[index] = 1.0
+    return vec
+
+
+def cross_entropy(p, target):
+    """-log p[target] for a one-hot target, with p floored at 1e-12."""
+    p = np.asarray(p, dtype=float)
+    target = np.asarray(target, dtype=float)
+    if p.shape != target.shape:
+        raise DomainError(f"shape mismatch: probs {p.shape} vs target {target.shape}")
+    ones = np.flatnonzero(target == 1.0)
+    if ones.size != 1 or not np.all((target == 0.0) | (target == 1.0)):
+        raise DomainError("target must be a one-hot vector")
+    return float(-np.log(max(p[ones[0]], PROB_FLOOR)))

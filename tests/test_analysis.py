@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from facelight.analysis import (
-    blue_red_ratio_mask,
     default_ratio_sweep,
     half_ratio_samples,
     ks_pvalue,
@@ -38,36 +37,6 @@ def series_pvalue_30(d, n, m):
     lam = (math.sqrt(n_e) + 0.12 + 0.11 / math.sqrt(n_e)) * d
     total = sum((-1) ** (k - 1) * math.exp(-2.0 * k * k * lam * lam) for k in range(1, 31))
     return min(max(2.0 * total, 0.0), 1.0)
-
-
-# --- ratio mask ------------------------------------------------------------
-
-def _one_pixel(rgb):
-    return np.array([[rgb]], dtype=np.uint8)
-
-
-def test_mask_above_threshold_is_white():
-    mask = blue_red_ratio_mask(_one_pixel((100, 0, 60)), 0.55)
-    assert mask.bits[0, 0]
-
-
-def test_mask_below_threshold_is_black():
-    mask = blue_red_ratio_mask(_one_pixel((100, 0, 60)), 0.65)
-    assert not mask.bits[0, 0]
-
-
-def test_mask_all_black_image():
-    img = np.zeros((4, 4, 3), dtype=np.uint8)
-    assert not blue_red_ratio_mask(img, 0.45).bits.any()
-
-
-def test_mask_zero_red_positive_blue_is_white():
-    assert blue_red_ratio_mask(_one_pixel((0, 0, 1)), 0.99).bits[0, 0]
-
-
-def test_mask_threshold_validation():
-    with pytest.raises(DomainError):
-        blue_red_ratio_mask(_one_pixel((1, 1, 1)), 0.0)
 
 
 # --- KS statistic ----------------------------------------------------------
@@ -213,17 +182,3 @@ def test_ratio_sweep_covers_percent_grid():
     assert sweep[0] == pytest.approx(0.01)
     assert sweep[-1] == pytest.approx(0.99)
     assert len(sweep) == 99
-
-
-def test_mask_writes_as_ppm(tmp_path):
-    from facelight.ppm import read_ppm, write_mask_ppm
-
-    img = np.zeros((2, 2, 3), dtype=np.uint8)
-    img[0, 0] = (10, 0, 60)   # strongly blue: white
-    img[1, 1] = (60, 0, 10)   # strongly red: black
-    mask = blue_red_ratio_mask(img, 0.55)
-    path = tmp_path / "mask.ppm"
-    write_mask_ppm(path, mask.bits)
-    back = read_ppm(path)
-    assert back[0, 0].tolist() == [255, 255, 255]
-    assert back[1, 1].tolist() == [0, 0, 0]

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle_nets import cross_entropy, one_hot
+
 from facelight.classifier import (
     AdamState,
     MlpHead,
     TwoTierModel,
     adam_step,
-    cross_entropy,
     load_model,
     predict_features,
     save_model,
@@ -19,7 +20,7 @@ from facelight.classifier import (
 )
 from facelight.errors import DomainError
 from facelight.features import FeatureParams, feature_length
-from facelight.labels import UNKNOWN, LabelLayout, accuracy, one_hot, split_label, unify_label
+from facelight.labels import UNKNOWN, LabelLayout, accuracy, split_label, unify_label
 
 TABLE_LAYOUT = LabelLayout((6, 6, 6, 8, 2, 1))
 
@@ -358,18 +359,3 @@ def test_end_to_end_two_disjoint_color_apps():
     for label in (0, 1):
         sel = y_test == label
         assert np.all(pred[sel] == label)
-
-
-def test_predict_single_image_probability_tuple():
-    from facelight.classifier import predict
-
-    layout = LabelLayout((2, 3))
-    model = _tiny_model(layout, seed=2)
-    image = np.random.default_rng(0).integers(0, 256, size=(6, 6, 3), dtype=np.uint8)
-    label, cat_probs, app_probs = predict(model, image)
-    j = int(np.argmax(cat_probs))
-    assert cat_probs.shape == (2,)
-    assert app_probs.shape == (layout.counts[j],)
-    assert cat_probs.sum() == pytest.approx(1.0, abs=1e-12)
-    assert app_probs.sum() == pytest.approx(1.0, abs=1e-12)
-    assert 0 <= label < layout.num_labels

@@ -343,6 +343,9 @@ def test_mdc_zero_denominator_one_error_line(tmp_path, tiny_config, capsys):
         ("train", "learning_rate", 0, "train.learning_rate"),
         ("categories", 0, {"name": "alpha"}, "categories[0]"),
         ("mdc", "fractions", [], "mdc.fractions"),
+        (None, "delta", 0, "delta"),
+        (None, "delta", -1, "delta"),
+        (None, "delta", float("nan"), "delta"),
     ],
 )
 def test_bad_config_value_one_error_line(tmp_path, capsys, section, key, value, named):
@@ -444,6 +447,15 @@ def test_mdc_script_matches_cli(tmp_path, tiny_config):
         f"{float(f):8.4f}  {float(p):12.4g}  {'quiet' if float(p) >= 0.05 else 'detected'}" for f, p in rows
     ]
     assert _script("mdc_experiment.py", "--config", tiny_config, "--seeds", 1, cwd=tmp_path) == expected
+
+
+def test_hlc_sweep_script_table_and_best_line(tmp_path):
+    lines = _script("hlc_param_sweep.py", "--seeds", 1, "--out", "sweep.csv", cwd=tmp_path)
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert rows[0] == "sigma_s,T_s,sigma_e,T_e,accuracy"
+    assert len(rows) == 1 + 90
+    best = max(float(row.split(",")[-1]) for row in rows[1:])
+    assert lines[0].startswith(f"best mean accuracy {best:.4f} at ")
 
 
 def test_weight_curve_script_matches_cli(tmp_path, tiny_config, capsys):

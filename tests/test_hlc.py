@@ -1,18 +1,21 @@
+import math
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import oracle_hlc
+from oracle_hlc import count_label, end_of_step, start_of_step
 
 from facelight.errors import DomainError
 from facelight.hlc import (
     HlcParams,
     LabelSequence,
     correct_labels,
-    count_label,
-    end_of_step,
     param_grid,
     read_label_sequence,
-    start_of_step,
     sweep_params,
     write_label_sequence,
     write_sweep_csv,
@@ -96,6 +99,49 @@ def test_end_false_for_distant_single_hit():
 def test_end_true_when_hit_beyond_window():
     y = [B] * 11 + [A]
     assert end_of_step(y, A, 1, DEFAULTS)
+
+
+# --- one pass against the loop ---------------------------------------------
+
+ORACLE_GRID = param_grid([0.5, 0.9], [1, 3, 10], [0.1, 0.5], [0, 2, 10])
+
+
+@given(
+    st.lists(st.integers(-1, 4), min_size=1, max_size=120),
+    st.sampled_from(ORACLE_GRID),
+)
+@settings(max_examples=400, deadline=None)
+def test_one_pass_matches_loop(y, params):
+    assert correct_labels(y, params).labels == oracle_hlc.correct_labels(y, params).labels
+
+
+def test_one_pass_matches_loop_on_noisy_steps():
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        y = []
+        while len(y) < 200:
+            y += [int(rng.integers(-1, 5))] * int(rng.integers(1, 30))
+        y = [int(rng.integers(-1, 5)) if rng.random() < 0.15 else v for v in y]
+        params = ORACLE_GRID[int(rng.integers(len(ORACLE_GRID)))]
+        assert correct_labels(y, params).labels == oracle_hlc.correct_labels(y, params).labels
+
+
+def test_forty_thousand_labels_within_five_seconds():
+    rng = np.random.default_rng(0)
+    truth = [label for label in range(29) for _ in range(1380)][:40000]
+    noisy = list(truth)
+    for i in np.flatnonzero(rng.random(len(noisy)) < 0.05):
+        noisy[i] = int((noisy[i] + 1 + rng.integers(0, 28)) % 29)
+    start = time.perf_counter()
+    z = correct_labels(noisy, DEFAULTS)
+    assert time.perf_counter() - start < 5.0
+    assert accuracy(z.labels, truth) >= 0.99
+
+
+@pytest.mark.parametrize("timestep", [0.0, -1.0, math.nan, math.inf])
+def test_timestep_must_be_finite_and_positive(timestep):
+    with pytest.raises(DomainError):
+        LabelSequence((A,), timestep)
 
 
 def test_correct_pure_run_unchanged():
