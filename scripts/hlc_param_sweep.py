@@ -31,6 +31,10 @@ def main():
     parser.add_argument("--seeds", type=int, default=10)
     parser.add_argument("--flip", type=float, default=0.05)
     args = parser.parse_args()
+    if args.seeds < 1:
+        parser.error(f"--seeds must be >= 1, got {args.seeds}")
+    if not 0.0 <= args.flip <= 1.0:
+        parser.error(f"--flip must be in [0, 1], got {args.flip}")
 
     grid = param_grid([0.5, 0.6, 0.7, 0.8, 0.9], [5, 10, 15], [0.1, 0.2, 0.3], [5, 10])
     totals = np.zeros(len(grid))

@@ -424,11 +424,15 @@ def _env():
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
-def _script(name, *argv, cwd):
-    proc = subprocess.run(
+def _run_script(name, *argv, cwd):
+    return subprocess.run(
         [sys.executable, str(SCRIPTS / name), *map(str, argv)],
         capture_output=True, text=True, env=_env(), cwd=cwd, timeout=300,
     )
+
+
+def _script(name, *argv, cwd):
+    proc = _run_script(name, *argv, cwd=cwd)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
 
@@ -456,6 +460,15 @@ def test_hlc_sweep_script_table_and_best_line(tmp_path):
     assert len(rows) == 1 + 90
     best = max(float(row.split(",")[-1]) for row in rows[1:])
     assert lines[0].startswith(f"best mean accuracy {best:.4f} at ")
+
+
+@pytest.mark.parametrize("flag, value", [("--seeds", 0), ("--seeds", -2), ("--flip", 1.5), ("--flip", -0.1), ("--flip", "nan")])
+def test_hlc_sweep_script_rejects_out_of_range(tmp_path, flag, value):
+    proc = _run_script("hlc_param_sweep.py", flag, value, "--out", "sweep.csv", cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1].startswith("hlc_param_sweep.py: error: " + flag)
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_weight_curve_script_matches_cli(tmp_path, tiny_config, capsys):

@@ -8,6 +8,7 @@ from oracle_nets import cbam_loops, conv2d_einsum, conv2d_loops, pooled_loops, r
 from facelight.errors import DomainError
 from facelight.features import (
     FeatureParams,
+    block_frames,
     cbam_forward,
     conv2d_same,
     extract_features,
@@ -15,6 +16,7 @@ from facelight.features import (
     pooled_features,
     resblock_forward,
 )
+from facelight.preprocess import preprocess
 
 
 def zero_params(seed=0):
@@ -194,3 +196,43 @@ def test_extract_features_independent_of_chunking():
     whole = extract_features(imgs, params, 16, 2)
     parts = np.concatenate([extract_features(imgs[:137], params, 16, 2), extract_features(imgs[137:], params, 16, 2)])
     assert np.allclose(whole, parts, rtol=1e-12, atol=0)
+
+
+def test_block_frames_rule():
+    assert [block_frames(l) for l in (64, 32, 16)] == [5, 21, 85]
+    assert block_frames(1024) == 1
+    assert all(block_frames(l) >= 1 for l in range(1, 2048, 7))
+
+
+def test_extract_features_rejects_size_below_one():
+    imgs = np.zeros((2, 10, 10, 3), dtype=np.uint8)
+    with pytest.raises(DomainError):
+        extract_features(imgs, FeatureParams.from_seed(0), 0, 1)
+
+
+@pytest.mark.parametrize("l_size", [16, 32, 64])
+def test_blocked_features_equal_whole_batch(l_size):
+    params = FeatureParams.from_seed(14)
+    b = block_frames(l_size)
+    rng = np.random.default_rng(l_size)
+    for n in sorted({1, max(1, b - 1), b, b + 1, 3 * b + 2}):
+        imgs = rng.integers(0, 256, size=(n, 9, 11, 3), dtype=np.uint8)
+        whole = pooled_features(cbam_forward(resblock_forward(preprocess(imgs, l_size), params), params), 2)
+        assert np.array_equal(extract_features(imgs, params, l_size, 2), whole), n
+    single = extract_features(imgs[0], params, l_size, 2)
+    assert single.shape == (feature_length(2),)
+    assert np.array_equal(single, whole[0])
+
+
+def test_extract_features_peak_independent_of_batch():
+    # blocks of 5 frames at L=64: the peak is a few block-sized tensors, where
+    # 256-frame chunks peaked at about 141 MiB
+    imgs = np.random.default_rng(15).integers(0, 256, size=(1024, 24, 24, 3), dtype=np.uint8)
+    params = FeatureParams.from_seed(15)
+    tracemalloc.start()
+    try:
+        extract_features(imgs, params, 64, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
