@@ -9,6 +9,7 @@ correction, per seed and as medians.
 """
 
 import argparse
+import dataclasses
 import time
 
 import numpy as np
@@ -28,9 +29,8 @@ def main():
     pres, posts = [], []
     for seed in args.seeds:
         cfg = load_config(args.config) if args.config else ExperimentConfig()
-        cfg.seed = seed
-        if args.l_size is not None:
-            cfg.l_size = args.l_size
+        l_size = cfg.l_size if args.l_size is None else args.l_size
+        cfg = dataclasses.replace(cfg, seed=seed, l_size=l_size)  # re-runs the config's range checks
         t0 = time.perf_counter()
         result = run_attack(cfg, generate_dataset(cfg))
         pres.append(result.pre_accuracy)

@@ -7,18 +7,27 @@ manual backpropagation and Adam on the cross-entropy loss; the convolutional
 feature extractor underneath stays frozen.  Prediction takes the
 discriminator argmax (ties break to the lowest index), then the argmax of the
 selected category's predictor, and fuses the pair into a unified label.
+
+A model file is one JSON document: the layout, the seeds and the grid sizes
+as plain JSON values, and every float array as {"shape": [...], "f8": base64
+of its little-endian float64 bytes}, so the weights round-trip bit-exactly.
+Loading checks each key's type, each array's shape against the layout and
+the pooling grid, and that every weight is finite.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
 import json
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DomainError
-from .features import FeatureParams, extract_features, feature_length
+from .features import PARAM_SHAPES, FeatureParams, extract_features, feature_length
 from .labels import LabelLayout, split_label, unify_label
 
 HIDDEN = (512, 256)
@@ -74,6 +83,12 @@ def adam_step(
 _PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
 
 
+def _head_shapes(in_dim: int, out_dim: int) -> Dict[str, Tuple[int, ...]]:
+    """The shape of each head parameter, in `_PARAM_NAMES` order."""
+    h1, h2 = HIDDEN
+    return {"w1": (h1, in_dim), "b1": (h1,), "w2": (h2, h1), "b2": (h2,), "w3": (out_dim, h2), "b3": (out_dim,)}
+
+
 @dataclass
 class MlpHead:
     """Dense in -> 512 -> 256 -> out head with ReLU activations and softmax output."""
@@ -87,16 +102,15 @@ class MlpHead:
 
     @classmethod
     def init(cls, in_dim: int, out_dim: int, rng: np.random.Generator) -> "MlpHead":
-        """He-style init: Gaussian with std sqrt(2 / fan_in), zero biases."""
-        h1, h2 = HIDDEN
-        return cls(
-            w1=rng.normal(0.0, np.sqrt(2.0 / in_dim), size=(h1, in_dim)),
-            b1=np.zeros(h1),
-            w2=rng.normal(0.0, np.sqrt(2.0 / h1), size=(h2, h1)),
-            b2=np.zeros(h2),
-            w3=rng.normal(0.0, np.sqrt(2.0 / h2), size=(out_dim, h2)),
-            b3=np.zeros(out_dim),
-        )
+        """He-style init: Gaussian with std sqrt(2 / fan_in), zero biases.
+
+        The weights are drawn in w1, w2, w3 order; a weight's fan_in is its
+        column count.
+        """
+        return cls(**{
+            name: rng.normal(0.0, np.sqrt(2.0 / shape[1]), size=shape) if len(shape) == 2 else np.zeros(shape)
+            for name, shape in _head_shapes(in_dim, out_dim).items()
+        })
 
     @property
     def in_dim(self) -> int:
@@ -146,13 +160,6 @@ class MlpHead:
 
     def params(self) -> Dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in _PARAM_NAMES}
-
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name).tolist() for name in _PARAM_NAMES}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MlpHead":
-        return cls(**{name: np.asarray(data[name], dtype=float) for name in _PARAM_NAMES})
 
 
 @dataclass
@@ -273,7 +280,18 @@ def predict_images(model: TwoTierModel, images) -> np.ndarray:
     return predict_features(model, feats)
 
 
+def encode_array(arr) -> dict:
+    """A float array as a JSON object: its shape and base64 of its little-endian float64 bytes."""
+    arr = np.asarray(arr, dtype="<f8")
+    return {"shape": list(arr.shape), "f8": base64.b64encode(arr.tobytes()).decode("ascii")}
+
+
+def _encode_arrays(obj, names) -> dict:
+    return {name: encode_array(getattr(obj, name)) for name in names}
+
+
 def save_model(model: TwoTierModel, path) -> None:
+    fp = model.feature_params
     doc = {
         "kind": "facelight-two-tier",
         "seed": model.seed,
@@ -284,12 +302,12 @@ def save_model(model: TwoTierModel, path) -> None:
             "category_names": list(model.layout.category_names or []) or None,
             "app_names": [list(a) for a in model.layout.app_names] if model.layout.app_names else None,
         },
-        "feature_params": model.feature_params.to_dict(),
-        "discriminator": model.discriminator.to_dict(),
-        "predictors": [p.to_dict() for p in model.predictors],
+        "feature_params": {**_encode_arrays(fp, PARAM_SHAPES), "seed": fp.seed},
+        "discriminator": _encode_arrays(model.discriminator, _PARAM_NAMES),
+        "predictors": [_encode_arrays(p, _PARAM_NAMES) for p in model.predictors],
     }
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))  # json.dump would take the pure-Python encoder
 
 
 def _field(doc, key: str, kind: type, where: str):
@@ -302,39 +320,89 @@ def _field(doc, key: str, kind: type, where: str):
     return value
 
 
-def _head_from_doc(head, where: str) -> MlpHead:
+def decode_array(doc: dict, key: str, shape: Tuple[int, ...], where: str) -> np.ndarray:
+    """The `encode_array` object at doc[key], checked to hold finite floats of `shape`."""
+    if isinstance(doc.get(key), list):
+        raise DomainError(
+            f"{where}: key '{key}' is a list; list-form model files from earlier versions must be retrained"
+        )
+    value = _field(doc, key, dict, where)
+    data = value.get("f8")
+    if not isinstance(data, str):
+        raise DomainError(f"{where}: key '{key}' needs an 'f8' string, got {type(data).__name__}")
+    if value.get("shape") != list(shape):
+        raise DomainError(f"{where}: key '{key}' has shape {value.get('shape')}, expected {list(shape)}")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except binascii.Error as exc:
+        raise DomainError(f"{where}: key '{key}' is not valid base64 ({exc})") from exc
+    if len(raw) != 8 * math.prod(shape):
+        raise DomainError(f"{where}: key '{key}' holds {len(raw)} bytes, expected {8 * math.prod(shape)}")
+    arr = np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{where}: key '{key}' holds non-finite values")
+    return arr
+
+
+def _decode_arrays(doc: dict, shapes: dict, where: str) -> Dict[str, np.ndarray]:
+    return {name: decode_array(doc, name, shape, where) for name, shape in shapes.items()}
+
+
+def _head_from_doc(head, in_dim: int, out_dim: int, where: str) -> MlpHead:
     if not isinstance(head, dict):
         raise DomainError(f"{where} must be an object, got {type(head).__name__}")
-    return MlpHead.from_dict({name: _field(head, name, list, where) for name in _PARAM_NAMES})
+    return MlpHead(**_decode_arrays(head, _head_shapes(in_dim, out_dim), where))
 
 
 def load_model(path) -> TwoTierModel:
+    """Read a `save_model` file; any malformed key raises a DomainError naming the file and the key."""
     with open(path, "r", encoding="ascii") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not JSON, or not ASCII
+            raise DomainError(f"{path}: not a JSON model file ({exc})") from exc
     if not isinstance(doc, dict) or doc.get("kind") != "facelight-two-tier":
         raise DomainError(f"{path}: not a two-tier model file")
     lay = _field(doc, "layout", dict, path)
     where = f"{path}: layout"
+    counts = _field(lay, "counts", list, where)
+    if not all(type(c) is int for c in counts):
+        raise DomainError(f"{where}: key 'counts' must be a list of integers")
     category_names = lay.get("category_names") and _field(lay, "category_names", list, where)
     app_names = lay.get("app_names") and _field(lay, "app_names", list, where)
     if app_names and not all(isinstance(a, list) for a in app_names):
         raise DomainError(f"{where}: key 'app_names' must be a list of lists")
-    layout = LabelLayout(
-        tuple(_field(lay, "counts", list, where)),
-        tuple(category_names) if category_names else None,
-        tuple(tuple(a) for a in app_names) if app_names else None,
-    )
+    try:
+        layout = LabelLayout(
+            tuple(counts),
+            tuple(category_names) if category_names else None,
+            tuple(tuple(a) for a in app_names) if app_names else None,
+        )
+    except DomainError as exc:
+        raise DomainError(f"{where}: {exc}") from exc
+    l_size = _field(doc, "l_size", int, path)
+    p_grid = _field(doc, "p_grid", int, path)
+    if not 1 <= p_grid <= l_size:
+        raise DomainError(f"{path}: key 'p_grid' must lie in [1, l_size = {l_size}], got {p_grid}")
     fp = _field(doc, "feature_params", dict, path)
-    fp_types = {f.name: int if f.name == "seed" else list for f in fields(FeatureParams)}
+    where = f"{path}: feature_params"
+    feature_params = FeatureParams(**_decode_arrays(fp, PARAM_SHAPES, where), seed=_field(fp, "seed", int, where))
     predictors = _field(doc, "predictors", list, path)
+    if len(predictors) != layout.num_categories:
+        raise DomainError(
+            f"{path}: key 'predictors' holds {len(predictors)} heads for {layout.num_categories} categories"
+        )
+    dim = feature_length(p_grid)
     return TwoTierModel(
         layout=layout,
-        feature_params=FeatureParams.from_dict(
-            {name: _field(fp, name, kind, f"{path}: feature_params") for name, kind in fp_types.items()}
+        feature_params=feature_params,
+        discriminator=_head_from_doc(
+            _field(doc, "discriminator", dict, path), dim, layout.num_categories, f"{path}: discriminator"
         ),
-        discriminator=_head_from_doc(_field(doc, "discriminator", dict, path), f"{path}: discriminator"),
-        predictors=[_head_from_doc(p, f"{path}: predictors[{i}]") for i, p in enumerate(predictors)],
-        l_size=_field(doc, "l_size", int, path),
-        p_grid=_field(doc, "p_grid", int, path),
+        predictors=[
+            _head_from_doc(p, dim, layout.counts[i], f"{path}: predictors[{i}]") for i, p in enumerate(predictors)
+        ],
+        l_size=l_size,
+        p_grid=p_grid,
         seed=_field(doc, "seed", int, path),
     )

@@ -25,16 +25,14 @@ from .labels import accuracy
 
 def _load_config(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
     train = {
         field: getattr(args, attr)
         for attr, field in (("epochs", "epochs"), ("batch", "batch_size"), ("lr", "learning_rate"))
         if getattr(args, attr, None) is not None
     }
-    cfg.train = dataclasses.replace(cfg.train, **train)
-    if getattr(args, "l_size", None) is not None:
-        cfg.l_size = args.l_size
+    top = {key: getattr(args, key) for key in ("seed", "l_size") if getattr(args, key, None) is not None}
+    # replace, not assignment, so that the flags pass the config's range checks
+    cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, **train), **top)
     if getattr(args, "fractions", None):
         cfg.mdc.fractions = [eval_fraction(tok) for tok in args.fractions.split(",")]
     return cfg
@@ -114,6 +112,10 @@ def cmd_attack(args) -> int:
     else:
         model = classifier.load_model(args.model)
         images, truth = dataset.images_and_labels(dataset.read_split(args.frames))
+        num_labels = model.layout.num_labels
+        if truth.max() >= num_labels:
+            manifest = os.path.join(args.frames, "manifest.csv")
+            raise DomainError(f"{manifest}: label {truth.max()} out of range for the model's {num_labels} labels")
         seq = hlc.LabelSequence(tuple(int(v) for v in classifier.predict_images(model, images)))
     if args.use_hlc:
         seq = hlc.correct_labels(seq, _hlc_params(args, cfg))

@@ -56,6 +56,11 @@ class NoiseSection:
     pixel_sigma: float = 0.05  # Gaussian std as a fraction of full scale
     ambient_jitter: float = 0.0  # per-frame uniform scale in [1 - j, 1 + j]
 
+    def __post_init__(self):
+        for name in ("pixel_sigma", "ambient_jitter"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise DomainError(f"noise.{name} must lie in [0, 1], got {getattr(self, name)}")
+
 
 @dataclass
 class TrainSection:
@@ -91,6 +96,11 @@ class WeightSimSection:
             (0.20, 0.50, 0.0, -1.0),
         ]
     )
+
+    def __post_init__(self):
+        for i, (_, _, nx, ny) in enumerate(self.points):
+            if not math.hypot(nx, ny) > 0.0:
+                raise DomainError(f"weight_sim.points[{i}] needs a non-zero normal, got ({nx}, {ny})")
 
 
 @dataclass
@@ -138,6 +148,8 @@ class ExperimentConfig:
             raise DomainError(f"frames_per_app must be >= 1, got {self.frames_per_app}")
         if not 0 < self.delta < math.inf:
             raise DomainError(f"delta must be finite and > 0, got {self.delta}")
+        if not 1 <= self.p_grid <= self.l_size:
+            raise DomainError(f"p_grid must lie in [1, l_size = {self.l_size}], got {self.p_grid}")
 
     def require_seed(self) -> int:
         if self.seed is None:

@@ -29,7 +29,7 @@ running the whole batch at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,6 +40,14 @@ CHANNELS = 3
 SPATIAL_KERNEL = 7
 WEIGHT_STD = 0.1
 BLOCK_BYTES = 512 * 1024  # one block's (n, 3, L, L) float64 tensor; fits a per-core L2
+# the shape of every FeatureParams array, in field order
+PARAM_SHAPES = {
+    "conv1": (3, 3, 3, 3), "conv2": (3, 3, 3, 3), "conv3": (3, 3, 3, 3),
+    "scale1": (3,), "shift1": (3,), "scale2": (3,), "shift2": (3,),
+    "scale3": (3,), "shift3": (3,),
+    "mlp_w1": (3, 3), "mlp_b1": (3,), "mlp_w2": (3, 3), "mlp_b2": (3,),
+    "spatial": (1, 2, 7, 7),
+}
 
 
 @dataclass(frozen=True)
@@ -63,14 +71,7 @@ class FeatureParams:
     seed: int = 0
 
     def __post_init__(self):
-        shapes = {
-            "conv1": (3, 3, 3, 3), "conv2": (3, 3, 3, 3), "conv3": (3, 3, 3, 3),
-            "scale1": (3,), "shift1": (3,), "scale2": (3,), "shift2": (3,),
-            "scale3": (3,), "shift3": (3,),
-            "mlp_w1": (3, 3), "mlp_b1": (3,), "mlp_w2": (3, 3), "mlp_b2": (3,),
-            "spatial": (1, 2, 7, 7),
-        }
-        for name, shape in shapes.items():
+        for name, shape in PARAM_SHAPES.items():
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != shape:
                 raise DomainError(f"{name} must have shape {shape}, got {arr.shape}")
@@ -93,18 +94,6 @@ class FeatureParams:
             spatial=draw(1, 2, 7, 7),
             seed=seed,
         )
-
-    def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = v.tolist() if isinstance(v, np.ndarray) else v
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FeatureParams":
-        kwargs = {k: (np.asarray(v, dtype=float) if k != "seed" else int(v)) for k, v in data.items()}
-        return cls(**kwargs)
 
 
 def conv2d_same(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:

@@ -54,6 +54,8 @@ def read_ppm(path) -> np.ndarray:
         tokens.append(data[start:i])
     i += 1  # the single whitespace after maxval
     w, h, maxval = (int(t) for t in tokens)
+    if w < 1 or h < 1:
+        raise DomainError(f"{path}: PPM width and height must be positive, got {w}x{h}")
     if maxval != 255:
         raise DomainError(f"{path}: only maxval 255 PPMs are supported, got {maxval}")
     pixels = data[i : i + w * h * 3]

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from oracle_nets import cross_entropy, one_hot
 
@@ -12,6 +14,8 @@ from facelight.classifier import (
     MlpHead,
     TwoTierModel,
     adam_step,
+    decode_array,
+    encode_array,
     load_model,
     predict_features,
     save_model,
@@ -322,7 +326,66 @@ def test_model_round_trip_preserves_predictions(tmp_path):
     assert back.layout == model.layout
     probs_a = model.discriminator.forward(feats)
     probs_b = back.discriminator.forward(feats)
-    assert np.array_equal(probs_a, probs_b)  # bit-exact weights after JSON round trip
+    assert np.array_equal(probs_a, probs_b)  # bit-exact weights after the file round trip
+
+
+_F8 = np.finfo(np.float64)
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, _F8.smallest_subnormal, -_F8.smallest_subnormal, _F8.tiny, _F8.max, -_F8.max])
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=6),
+    elements=st.floats(allow_nan=False, allow_infinity=False) | _EDGE_FLOATS,
+))
+def test_array_encoding_round_trips_bit_exactly(arr):
+    doc = {"a": encode_array(arr)}
+    back = decode_array(doc, "a", arr.shape, "test")
+    assert back.shape == arr.shape and back.dtype == np.float64
+    assert back.tobytes() == arr.tobytes()  # -0.0 and subnormals keep their bits
+    assert back.flags.writeable
+
+
+def test_trained_model_saves_identical_bytes(tmp_path):
+    layout = LabelLayout((2, 3), ("a", "b"), (("a0", "a1"), ("b0", "b1", "b2")))
+    x, y = _toy_features(np.random.default_rng(3), 8, _padded_centers(layout))
+    model, _ = train_two_tier(x, y, layout, epochs=2, batch_size=8, lr=1e-3, seed=3, p_grid=1)
+    first, second, again = tmp_path / "first.json", tmp_path / "second.json", tmp_path / "again.json"
+    save_model(model, first)
+    save_model(model, second)
+    save_model(load_model(first), again)
+    assert first.read_bytes() == second.read_bytes() == again.read_bytes()
+
+
+def test_load_model_memory_is_a_few_times_the_weights(tmp_path):
+    # the default layout's 7 heads at D = 54: 1.1 M parameters, 8.9 MB of float64.
+    # Loading peaks near 2.7x the weights (file text, base64 strings, arrays);
+    # a file of float lists peaked near 6.8x (a Python float per weight).
+    layout = TABLE_LAYOUT
+    dim = feature_length(4)
+    rng = np.random.default_rng(2)
+    model = TwoTierModel(
+        layout=layout,
+        feature_params=FeatureParams.from_seed(2),
+        discriminator=MlpHead.init(dim, layout.num_categories, rng),
+        predictors=[MlpHead.init(dim, c, rng) for c in layout.counts],
+        l_size=64,
+        p_grid=4,
+        seed=2,
+    )
+    weight_bytes = sum(p.nbytes for h in [model.discriminator] + model.predictors for p in h.params().values())
+    assert weight_bytes > 8.5e6
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    tracemalloc.start()
+    try:
+        back = load_model(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.predictors[3].w2, model.predictors[3].w2)
+    assert peak <= 4 * weight_bytes
 
 
 def test_end_to_end_two_disjoint_color_apps():

@@ -1,3 +1,4 @@
+import base64
 import contextlib
 import io
 import json
@@ -13,6 +14,7 @@ from facelight import analysis, scene
 from facelight.cli import main
 from facelight.config import config_from_dict
 from facelight.dataset import read_split
+from facelight.features import feature_length
 
 TINY = {
     "seed": 11,
@@ -165,6 +167,23 @@ def _assert_one_error_line(capsys, code):
     return lines[0]
 
 
+def _array(shape, value=0.0):
+    """An array object as model files store it, filled with `value`."""
+    data = np.full(shape, value, dtype="<f8").tobytes()
+    return {"shape": list(shape), "f8": base64.b64encode(data).decode("ascii")}
+
+
+def _as_lists(node):
+    """The document as earlier versions wrote it: every array a nested list."""
+    if isinstance(node, dict) and "f8" in node:
+        return np.frombuffer(base64.b64decode(node["f8"]), "<f8").reshape(node["shape"]).tolist()
+    if isinstance(node, dict):
+        return {key: _as_lists(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_as_lists(value) for value in node]
+    return node
+
+
 @pytest.mark.parametrize(
     "path, value, named",
     [
@@ -174,6 +193,16 @@ def _assert_one_error_line(capsys, code):
         (("feature_params", "spatial"), None, "'spatial'"),
         (("discriminator",), [], "'discriminator'"),
         (("predictors", 1, "w2"), None, "predictors[1]: missing key 'w2'"),
+        (("discriminator", "w1", "f8"), "not base64!", "discriminator: key 'w1' is not valid base64"),
+        (("predictors", 0, "b2", "f8"), "AAAAAAAAAAA=", "predictors[0]: key 'b2' holds 8 bytes"),
+        (("predictors", 0, "b2", "f8"), 7, "predictors[0]: key 'b2' needs an 'f8' string"),
+        (("discriminator", "w1"), _array((10, feature_length(TINY["p_grid"]))), "discriminator: key 'w1' has shape [10, 18]"),
+        (("discriminator", "b1"), _array((1, 1), 1.0), "discriminator: key 'b1' has shape [1, 1]"),
+        (("predictors", 1, "w3"), _array((2, 256), np.nan), "predictors[1]: key 'w3' holds non-finite"),
+        (("feature_params", "spatial"), _array((1, 2, 7, 7), np.inf), "key 'spatial' holds non-finite"),
+        (("p_grid",), TINY["l_size"] + 1, "key 'p_grid' must lie in [1, l_size = 16]"),
+        (("p_grid",), 0, "key 'p_grid' must lie in [1, l_size = 16]"),
+        (("predictors", 1), None, "key 'predictors' holds 1 heads for 2 categories"),
     ],
 )
 def test_attack_malformed_model_one_error_line(pipeline, tmp_path, capsys, path, value, named):
@@ -192,6 +221,30 @@ def test_attack_malformed_model_one_error_line(pipeline, tmp_path, capsys, path,
     bad.write_text(json.dumps(doc))
     line = _assert_one_error_line(capsys, run("attack", str(bad), str(pipeline["data"] / "test")))
     assert str(bad) in line and named in line
+
+
+def test_attack_list_form_model_one_error_line(pipeline, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_as_lists(json.loads(pipeline["model"].read_text()))))
+    line = _assert_one_error_line(capsys, run("attack", str(bad), str(pipeline["data"] / "test")))
+    assert f"{bad}: feature_params: key 'conv1' is a list; list-form model files" in line
+
+
+@pytest.mark.parametrize(
+    "header, label, named",
+    [
+        (b"P6\n8 8\n255\n", 4, "manifest.csv: label 4 out of range for the model's 4 labels"),
+        (b"P6\n-4 8\n255\n", 0, "frame.ppm: PPM width and height must be positive, got -4x8"),
+        (b"P6\n8 0\n255\n", 0, "frame.ppm: PPM width and height must be positive, got 8x0"),
+    ],
+)
+def test_attack_bad_split_one_error_line(pipeline, tmp_path, capsys, header, label, named):
+    split = tmp_path / "split"
+    split.mkdir()
+    (split / "frame.ppm").write_bytes(header + bytes(8 * 8 * 3))
+    (split / "manifest.csv").write_text(f"path,label_index,sequence_id,t\nframe.ppm,{label},test-00,1\n")
+    line = _assert_one_error_line(capsys, run("attack", str(pipeline["model"]), str(split)))
+    assert f"{split / named}" in line
 
 
 @pytest.mark.parametrize(
@@ -346,6 +399,12 @@ def test_mdc_zero_denominator_one_error_line(tmp_path, tiny_config, capsys):
         (None, "delta", 0, "delta"),
         (None, "delta", -1, "delta"),
         (None, "delta", float("nan"), "delta"),
+        ("noise", "pixel_sigma", -1, "noise.pixel_sigma"),
+        ("noise", "pixel_sigma", float("nan"), "noise.pixel_sigma"),
+        ("noise", "ambient_jitter", 1.5, "noise.ambient_jitter"),
+        ("weight_sim", "points", [[0.0, 0.5, 0.0, 0.0]], "weight_sim.points[0]"),
+        (None, "p_grid", 17, "p_grid must lie in [1, l_size = 16]"),
+        (None, "p_grid", 0, "p_grid must lie in [1, l_size = 16]"),
     ],
 )
 def test_bad_config_value_one_error_line(tmp_path, capsys, section, key, value, named):
@@ -362,6 +421,12 @@ def test_bad_config_value_one_error_line(tmp_path, capsys, section, key, value, 
 def test_train_flag_out_of_range_one_error_line(tmp_path, tiny_config, capsys):
     code = run("run-all", "--config", tiny_config, "--out", str(tmp_path / "r"), "--epochs", "0")
     assert "train.epochs" in _assert_one_error_line(capsys, code)
+
+
+def test_l_size_flag_below_p_grid_one_error_line(tmp_path, tiny_config, capsys):
+    code = run("run-all", "--config", tiny_config, "--out", str(tmp_path / "r"), "--l-size", "1")
+    assert "p_grid must lie in [1, l_size = 1]" in _assert_one_error_line(capsys, code)
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("command", ["hlc-truth", "attack"])

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -44,7 +45,7 @@ def test_params_reproducible_from_seed():
 
 def test_params_shape_validation():
     with pytest.raises(DomainError):
-        FeatureParams.from_dict({**FeatureParams.from_seed(0).to_dict(), "conv1": [[0.0]]})
+        dataclasses.replace(FeatureParams.from_seed(0), conv1=np.zeros((1, 1)))
 
 
 def test_conv_matches_loop_oracle():
