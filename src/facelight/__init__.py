@@ -38,7 +38,7 @@ from .features import FeatureParams, cbam_forward, extract_features, pooled_feat
 from .classifier import (
     MlpHead,
     TwoTierModel,
-    adam_step,
+    adam_update,
     load_model,
     save_model,
     softmax,

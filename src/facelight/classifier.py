@@ -8,6 +8,11 @@ feature extractor underneath stays frozen.  Prediction takes the
 discriminator argmax (ties break to the lowest index), then the argmax of the
 selected category's predictor, and fuses the pair into a unified label.
 
+Training updates each head's arrays in place with `adam_update`, which runs
+all of Adam's elementwise passes over one L2-sized block of a parameter
+before the next, in the whole-array update's evaluation order, so the
+trained weights and the loss log keep the same bits.
+
 A model file is one JSON document: the layout, the seeds and the grid sizes
 as plain JSON values, and every float array as {"shape": [...], "f8": base64
 of its little-endian float64 bytes}, so the weights round-trip bit-exactly.
@@ -47,8 +52,44 @@ def softmax(logits) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+ADAM_BLOCK = 32768  # float64 elements: a block's param, grad, m, v and scratch (6 x 256 KiB) fit a 2 MiB L2
+
+
+def adam_update(param, grad, m, v, t: int, lr: float, scratch: np.ndarray = None) -> None:
+    """Bias-corrected Adam step number `t` (1-based), in place, block by block.
+
+    `param`, `m` and `v` are C-contiguous float arrays of `grad`'s shape;
+    `scratch` is a (2, >= min(size, ADAM_BLOCK)) float buffer.  Evaluates
+    m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g, then
+    param -= (lr*(m/c1)) / (sqrt(v/c2) + eps) with c = 1 - b**t.
+    """
+    grad = np.asarray(grad, dtype=float)
+    if param.shape != grad.shape:
+        raise DomainError(f"shape mismatch: param {param.shape} vs grad {grad.shape}")
+    if not all(a.flags.c_contiguous for a in (param, m, v)):  # a flat view of them would be a copy
+        raise DomainError("adam_update needs C-contiguous param, m and v arrays")
+    if scratch is None:
+        scratch = np.empty((2, min(param.size, ADAM_BLOCK)))
+    c1, c2 = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
+    p, g, m, v = param.reshape(-1), grad.reshape(-1), m.reshape(-1), v.reshape(-1)
+    for start in range(0, p.size, ADAM_BLOCK):
+        blk = slice(start, start + ADAM_BLOCK)
+        pb, gb, mb, vb = p[blk], g[blk], m[blk], v[blk]
+        s1, s2 = scratch[0, : pb.size], scratch[1, : pb.size]
+        np.multiply(mb, ADAM_BETA1, out=mb)
+        np.add(mb, np.multiply(gb, 1.0 - ADAM_BETA1, out=s1), out=mb)
+        np.multiply(vb, ADAM_BETA2, out=vb)
+        np.multiply(gb, 1.0 - ADAM_BETA2, out=s1)
+        np.add(vb, np.multiply(s1, gb, out=s1), out=vb)
+        np.multiply(np.divide(mb, c1, out=s1), lr, out=s1)
+        np.add(np.sqrt(np.divide(vb, c2, out=s2), out=s2), ADAM_EPS, out=s2)
+        np.subtract(pb, np.divide(s1, s2, out=s1), out=pb)
+
+
 @dataclass(frozen=True)
 class AdamState:
+    """Moments and step count for the functional `adam_step`."""
+
     m: np.ndarray
     v: np.ndarray
     t: int = 0
@@ -58,26 +99,11 @@ class AdamState:
         return cls(np.zeros_like(param, dtype=float), np.zeros_like(param, dtype=float), 0)
 
 
-def adam_step(
-    param: np.ndarray,
-    grad: np.ndarray,
-    state: AdamState,
-    lr: float,
-    beta1: float = ADAM_BETA1,
-    beta2: float = ADAM_BETA2,
-    eps: float = ADAM_EPS,
-) -> Tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update; returns the new parameter and state."""
-    param = np.asarray(param, dtype=float)
-    grad = np.asarray(grad, dtype=float)
-    if param.shape != grad.shape:
-        raise DomainError(f"shape mismatch: param {param.shape} vs grad {grad.shape}")
-    t = state.t + 1
-    m = beta1 * state.m + (1.0 - beta1) * grad
-    v = beta2 * state.v + (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
-    return param - lr * m_hat / (np.sqrt(v_hat) + eps), AdamState(m, v, t)
+def adam_step(param, grad, state: AdamState, lr: float) -> Tuple[np.ndarray, AdamState]:
+    """Functional form of `adam_update`: the updated copy of `param` and the next state."""
+    param, m, v = (np.array(a, dtype=float) for a in (param, state.m, state.v))
+    adam_update(param, grad, m, v, state.t + 1, lr)
+    return param, AdamState(m, v, state.t + 1)
 
 
 _PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
@@ -192,15 +218,18 @@ def _train_head(
     log: List[dict],
     head_name: str,
 ) -> None:
-    states = {name: AdamState.zeros_like(p) for name, p in head.params().items()}
+    params = head.params()
+    moments = {name: (np.zeros_like(p), np.zeros_like(p)) for name, p in params.items()}
+    scratch = np.empty((2, ADAM_BLOCK))
+    t = 0
     for epoch in range(1, epochs + 1):
         order = rng.permutation(x.shape[0])
         for b, start in enumerate(range(0, x.shape[0], batch_size)):
             idx = order[start : start + batch_size]
             loss, grads = head.loss_and_gradients(x[idx], y[idx])
-            for name in _PARAM_NAMES:
-                new_p, states[name] = adam_step(getattr(head, name), grads[name], states[name], lr)
-                setattr(head, name, new_p)
+            t += 1
+            for name, p in params.items():
+                adam_update(p, grads[name], *moments[name], t, lr, scratch)
             log.append({"head": head_name, "epoch": epoch, "batch": b, "loss": loss})
 
 

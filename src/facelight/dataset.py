@@ -167,9 +167,18 @@ def read_split(split_dir) -> List[FrameRecord]:
         for row in reader:
             if not row:
                 continue
-            path, label, sequence_id, t = row
+            try:
+                path, label, sequence_id, t = row
+                label, t = int(label), int(t)
+            except ValueError:
+                raise DomainError(
+                    f"{manifest}:{reader.line_num}: expected {','.join(MANIFEST_HEADER)} "
+                    f"with integer label_index and t, got {row}"
+                ) from None
+            if label < 0:
+                raise DomainError(f"{manifest}:{reader.line_num}: label_index must be >= 0, got {label}")
             image = read_ppm(os.path.join(split_dir, path))
-            records.append(FrameRecord(image, int(label), sequence_id, int(t)))
+            records.append(FrameRecord(image, label, sequence_id, t))
     if not records:
         raise DomainError(f"{manifest}: no frames listed")
     return records

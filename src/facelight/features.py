@@ -111,9 +111,10 @@ def conv2d_same(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     if cin != cin_k:
         raise DomainError(f"input has {cin} channels, kernel expects {cin_k}")
     ph, pw = kh // 2, kw // 2
-    # one spare row at the bottom keeps the last tap's run inside the buffer
-    padded = np.pad(x, ((0, 0), (0, 0), (ph, ph + 1), (pw, pw)))
     wp = w + 2 * pw
+    # one spare row at the bottom keeps the last tap's run inside the buffer
+    padded = np.zeros((n, cin, h + 2 * ph + 1, wp), dtype=x.dtype)
+    padded[:, :, ph : ph + h, pw : pw + w] = x
     flat = padded.reshape(n, cin, -1)
     span = h * wp
     out = np.zeros((n, cout, span))

@@ -53,7 +53,13 @@ def read_ppm(path) -> np.ndarray:
             raise DomainError(f"{path}: truncated PPM header")
         tokens.append(data[start:i])
     i += 1  # the single whitespace after maxval
-    w, h, maxval = (int(t) for t in tokens)
+    fields = []
+    for name, token in zip(("width", "height", "maxval"), tokens):
+        try:
+            fields.append(int(token))
+        except ValueError:
+            raise DomainError(f"{path}: PPM {name} must be an integer, got {token.decode('latin-1')!r}") from None
+    w, h, maxval = fields
     if w < 1 or h < 1:
         raise DomainError(f"{path}: PPM width and height must be positive, got {w}x{h}")
     if maxval != 255:

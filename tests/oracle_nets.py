@@ -1,4 +1,4 @@
-"""References for the feature path: preprocessing and the forward passes.
+"""References for the feature path and head training: preprocessing, the forward passes, Adam.
 
 The loop versions deliberately avoid the vectorized code paths of the
 package: plain Python loops over output positions, so they serve as
@@ -8,15 +8,21 @@ earlier versions of the package so the replacements can be held to them:
 materialised kh x kw window, and `bilinear_resize_rows_first`, which gathers
 source rows before columns.  `one_hot` and `cross_entropy` are the
 per-sample label encoding and loss that the classifier computes in batches.
+
+For training, `adam_step` is the allocating Adam update the package used
+before it updated in place, and `train_two_tier_reference` is the head
+training loop built on it; the package's blocked in-place training must
+reproduce both bit for bit.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from facelight.classifier import PROB_FLOOR
+from facelight.classifier import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, PROB_FLOOR, MlpHead
 from facelight.errors import DomainError
-from facelight.labels import UNKNOWN
+from facelight.labels import UNKNOWN, split_label
 
 
 def conv2d_einsum(x, kernel):
@@ -154,3 +160,55 @@ def cross_entropy(p, target):
     if ones.size != 1 or not np.all((target == 0.0) | (target == 1.0)):
         raise DomainError("target must be a one-hot vector")
     return float(-np.log(max(p[ones[0]], PROB_FLOOR)))
+
+
+@dataclass(frozen=True)
+class AdamState:
+    m: np.ndarray
+    v: np.ndarray
+    t: int = 0
+
+    @classmethod
+    def zeros_like(cls, param):
+        return cls(np.zeros_like(param, dtype=float), np.zeros_like(param, dtype=float), 0)
+
+
+def adam_step(param, grad, state, lr, beta1=ADAM_BETA1, beta2=ADAM_BETA2, eps=ADAM_EPS):
+    """One bias-corrected Adam update over whole arrays; returns the new parameter and state."""
+    param = np.asarray(param, dtype=float)
+    grad = np.asarray(grad, dtype=float)
+    if param.shape != grad.shape:
+        raise DomainError(f"shape mismatch: param {param.shape} vs grad {grad.shape}")
+    t = state.t + 1
+    m = beta1 * state.m + (1.0 - beta1) * grad
+    v = beta2 * state.v + (1.0 - beta2) * grad * grad
+    m_hat = m / (1.0 - beta1**t)
+    v_hat = v / (1.0 - beta2**t)
+    return param - lr * m_hat / (np.sqrt(v_hat) + eps), AdamState(m, v, t)
+
+
+def train_two_tier_reference(features, unified_labels, layout, epochs, batch_size, lr, seed):
+    """The discriminator and predictor heads and the loss log, trained one
+    whole-array `adam_step` at a time with the RNG draws of `train_two_tier`."""
+    x = np.asarray(features, dtype=float)
+    pairs = [split_label(int(v), layout) for v in unified_labels]
+    cats = np.array([j for j, _ in pairs])
+    apps = np.array([k for _, k in pairs])
+    rng = np.random.default_rng(seed)
+    heads = [MlpHead.init(x.shape[1], layout.num_categories, rng)]
+    heads += [MlpHead.init(x.shape[1], layout.counts[j], rng) for j in range(layout.num_categories)]
+    jobs = [(heads[0], x, cats, "discriminator")]
+    jobs += [(heads[j + 1], x[cats == j], apps[cats == j], layout.category_name(j)) for j in range(layout.num_categories)]
+    log = []
+    for head, hx, hy, name in jobs:
+        states = {key: AdamState.zeros_like(p) for key, p in head.params().items()}
+        for epoch in range(1, epochs + 1):
+            order = rng.permutation(hx.shape[0])
+            for b, start in enumerate(range(0, hx.shape[0], batch_size)):
+                idx = order[start : start + batch_size]
+                loss, grads = head.loss_and_gradients(hx[idx], hy[idx])
+                for key in states:
+                    new_p, states[key] = adam_step(getattr(head, key), grads[key], states[key], lr)
+                    setattr(head, key, new_p)
+                log.append({"head": name, "epoch": epoch, "batch": b, "loss": loss})
+    return heads, log

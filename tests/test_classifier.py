@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracle_nets import cross_entropy, one_hot
+from oracle_nets import AdamState, adam_step, cross_entropy, one_hot, train_two_tier_reference
 
 from facelight.classifier import (
-    AdamState,
+    ADAM_BLOCK,
     MlpHead,
     TwoTierModel,
-    adam_step,
+    adam_update,
     decode_array,
     encode_array,
     load_model,
@@ -118,14 +118,15 @@ def test_cross_entropy_rejects_non_one_hot():
 # --- Adam ---------------------------------------------------------------------
 
 def test_adam_zero_grad_no_move():
-    p = np.array([1.0, -2.0])
-    out, state = adam_step(p, np.zeros(2), AdamState.zeros_like(p), lr=0.1)
-    assert np.array_equal(out, p)
-    assert state.t == 1
+    p, m, v = np.array([1.0, -2.0]), np.zeros(2), np.zeros(2)
+    adam_update(p, np.zeros(2), m, v, 1, lr=0.1)
+    assert np.array_equal(p, [1.0, -2.0])
+    assert np.array_equal(m, [0.0, 0.0]) and np.array_equal(v, [0.0, 0.0])
 
 
 def test_adam_first_step_magnitude():
-    p, _ = adam_step(np.array([1.0]), np.array([1.0]), AdamState.zeros_like(np.array([1.0])), lr=0.1)
+    p = np.array([1.0])
+    adam_update(p, np.array([1.0]), np.zeros(1), np.zeros(1), 1, lr=0.1)
     assert p[0] == pytest.approx(0.9, abs=1e-8)
 
 
@@ -141,16 +142,66 @@ def test_adam_two_steps_match_hand_oracle():
         v_hat = v / (1 - b2**t)
         p = p - lr * m_hat / (math.sqrt(v_hat) + eps)
 
-    param = np.array([1.0])
-    state = AdamState.zeros_like(param)
-    param, state = adam_step(param, np.array([1.0]), state, lr=lr)
-    param, state = adam_step(param, np.array([0.5]), state, lr=lr)
+    param, m_arr, v_arr = np.array([1.0]), np.zeros(1), np.zeros(1)
+    adam_update(param, np.array([1.0]), m_arr, v_arr, 1, lr=lr)
+    adam_update(param, np.array([0.5]), m_arr, v_arr, 2, lr=lr)
     assert abs(param[0] - p) <= 1e-12
 
 
 def test_adam_shape_mismatch():
     with pytest.raises(DomainError):
-        adam_step(np.zeros(2), np.zeros(3), AdamState.zeros_like(np.zeros(2)), lr=0.1)
+        adam_update(np.zeros(2), np.zeros(3), np.zeros(2), np.zeros(2), 1, lr=0.1)
+
+
+def test_adam_rejects_non_contiguous_param():
+    # reshape(-1) of a strided view copies, so the update would be lost
+    param = np.zeros((4, 4))[:, ::2]
+    with pytest.raises(DomainError, match="C-contiguous"):
+        adam_update(param, np.ones((4, 2)), np.zeros((4, 2)), np.zeros((4, 2)), 1, lr=0.1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    size=st.sampled_from([1, ADAM_BLOCK - 1, ADAM_BLOCK, ADAM_BLOCK + 1, 3 * ADAM_BLOCK + 7]),
+    t=st.integers(1, 40),
+    lr=st.sampled_from([1e-4, 1e-2, 0.5]),
+    specials=st.lists(st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e3, -1e3]), min_size=1, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_adam_update_matches_whole_array_oracle_bits(size, t, lr, specials, seed):
+    rng = np.random.default_rng(seed)
+    grad = rng.normal(0.0, 1e-2, size)
+    at = rng.integers(0, size, len(specials))
+    grad[at] = specials
+    param = rng.normal(0.0, 0.1, size)
+    m = rng.normal(0.0, 1e-3, size)
+    v = rng.exponential(1e-4, size)
+    if t == 1:  # the first step starts from zero moments
+        m[:], v[:] = 0.0, 0.0
+    want_param, want = adam_step(param, grad, AdamState(m, v, t - 1), lr)
+    adam_update(param, grad, m, v, t, lr)
+    assert param.tobytes() == want_param.tobytes()
+    assert m.tobytes() == want.m.tobytes()
+    assert v.tobytes() == want.v.tobytes()
+
+
+def test_adam_update_memory_stays_block_sized():
+    # one step over a 54 -> 512 -> 256 -> 7 head (w2 alone is 1 MiB) allocates
+    # at most a block-sized scratch; the whole-array update peaks at several w2s
+    head = MlpHead.init(54, 7, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    params = head.params()
+    grads = {name: rng.normal(size=p.shape) for name, p in params.items()}
+    moments = {name: (np.zeros_like(p), np.zeros_like(p)) for name, p in params.items()}
+    tracemalloc.start()
+    try:
+        for name, p in params.items():
+            adam_update(p, grads[name], *moments[name], 1, lr=1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert params["w2"].nbytes == 2**20
+    assert peak < 2**20
 
 
 # --- gradients ------------------------------------------------------------------
@@ -263,6 +314,18 @@ def test_training_loss_decreases_across_seeds():
         ep5 = np.mean([r["loss"] for r in disc if r["epoch"] == 5])
         deltas.append(ep1 - ep5)
     assert np.mean(deltas) > 0
+
+
+def test_train_matches_whole_array_reference_bits():
+    layout = LabelLayout((3, 2))
+    rng = np.random.default_rng(4)
+    x, y = _toy_features(rng, 9, _padded_centers(layout, p_grid=2), spread=0.3)
+    model, log = train_two_tier(x, y, layout, epochs=3, batch_size=8, lr=1e-2, seed=6, p_grid=2)
+    heads, want_log = train_two_tier_reference(x, y, layout, epochs=3, batch_size=8, lr=1e-2, seed=6)
+    assert log == want_log
+    for got, want in zip([model.discriminator] + model.predictors, heads, strict=True):
+        for name, arr in got.params().items():
+            assert arr.tobytes() == getattr(want, name).tobytes(), name
 
 
 # --- prediction ------------------------------------------------------------------

@@ -236,6 +236,9 @@ def test_attack_list_form_model_one_error_line(pipeline, tmp_path, capsys):
         (b"P6\n8 8\n255\n", 4, "manifest.csv: label 4 out of range for the model's 4 labels"),
         (b"P6\n-4 8\n255\n", 0, "frame.ppm: PPM width and height must be positive, got -4x8"),
         (b"P6\n8 0\n255\n", 0, "frame.ppm: PPM width and height must be positive, got 8x0"),
+        (b"P6\nab 8\n255\n", 0, "frame.ppm: PPM width must be an integer, got 'ab'"),
+        (b"P6\n8 8.0\n255\n", 0, "frame.ppm: PPM height must be an integer, got '8.0'"),
+        (b"P6\n8 8\nff\n", 0, "frame.ppm: PPM maxval must be an integer, got 'ff'"),
     ],
 )
 def test_attack_bad_split_one_error_line(pipeline, tmp_path, capsys, header, label, named):
@@ -243,6 +246,26 @@ def test_attack_bad_split_one_error_line(pipeline, tmp_path, capsys, header, lab
     split.mkdir()
     (split / "frame.ppm").write_bytes(header + bytes(8 * 8 * 3))
     (split / "manifest.csv").write_text(f"path,label_index,sequence_id,t\nframe.ppm,{label},test-00,1\n")
+    line = _assert_one_error_line(capsys, run("attack", str(pipeline["model"]), str(split)))
+    assert f"{split / named}" in line
+
+
+@pytest.mark.parametrize(
+    "rows, named",
+    [
+        ("frame.ppm,0,test-00\n", "manifest.csv:2: expected path,label_index,sequence_id,t"),
+        ("frame.ppm,0,test-00,1,9\n", "manifest.csv:2: expected path,label_index,sequence_id,t"),
+        ("frame.ppm,x,test-00,1\n", "manifest.csv:2: expected path,label_index,sequence_id,t"),
+        ("frame.ppm,0,test-00,1.5\n", "manifest.csv:2: expected path,label_index,sequence_id,t"),
+        ("frame.ppm,-1,test-00,1\n", "manifest.csv:2: label_index must be >= 0, got -1"),
+        ("frame.ppm,0,test-00,1\nframe.ppm,,test-00,2\n", "manifest.csv:3: expected"),
+    ],
+)
+def test_attack_bad_manifest_row_one_error_line(pipeline, tmp_path, capsys, rows, named):
+    split = tmp_path / "split"
+    split.mkdir()
+    (split / "frame.ppm").write_bytes(b"P6\n8 8\n255\n" + bytes(8 * 8 * 3))
+    (split / "manifest.csv").write_text("path,label_index,sequence_id,t\n" + rows)
     line = _assert_one_error_line(capsys, run("attack", str(pipeline["model"]), str(split)))
     assert f"{split / named}" in line
 
