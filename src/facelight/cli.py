@@ -1,10 +1,12 @@
 """Command-line front end.
 
-Subcommands cover the pipeline stages: simulate-weights, gen-dataset, train,
-attack, hlc, mdc, plus run-all chaining gen-dataset -> train -> attack ->
-hlc.  The commands are front ends over `pipeline`: they turn flags into the
-config, read and write files, and print.  Every command is deterministic under
-a fixed --seed.
+Subcommands cover the pipeline stages: simulate-weights, gen-dataset, train
+(on gen-dataset's directory), attack (on one split directory), hlc (on a label
+CSV), mdc, plus run-all chaining gen-dataset -> train -> attack -> hlc.  The
+commands are front ends over `pipeline`: they turn flags into the config,
+read and write files, and print.  Every flag that sets a config value goes
+through `_OVERRIDES`, so it passes the same checks as its key.  Every command
+is deterministic under a fixed --seed.
 
 Exit codes: 0 success, 1 domain/value errors, 2 usage or I/O errors.
 """
@@ -23,19 +25,29 @@ from .errors import DomainError
 from .labels import accuracy
 
 
+# (flag dest, config section or None for a top-level key, config key); each
+# flag goes through dataclasses.replace, so it passes its key's range checks
+_OVERRIDES = (
+    ("seed", None, "seed"), ("l_size", None, "l_size"),
+    ("epochs", "train", "epochs"), ("batch", "train", "batch_size"), ("lr", "train", "learning_rate"),
+    ("sigma_s", "hlc", "sigma_s"), ("t_s", "hlc", "t_s"), ("sigma_e", "hlc", "sigma_e"), ("t_e", "hlc", "t_e"),
+    ("fractions", "mdc", "fractions"),
+)
+
+
 def _load_config(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    train = {
-        field: getattr(args, attr)
-        for attr, field in (("epochs", "epochs"), ("batch", "batch_size"), ("lr", "learning_rate"))
-        if getattr(args, attr, None) is not None
-    }
-    top = {key: getattr(args, key) for key in ("seed", "l_size") if getattr(args, key, None) is not None}
-    # replace, not assignment, so that the flags pass the config's range checks
-    cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, **train), **top)
-    if getattr(args, "fractions", None):
-        cfg.mdc.fractions = [eval_fraction(tok) for tok in args.fractions.split(",")]
-    return cfg
+    top, sections = {}, {}
+    for dest, section, key in _OVERRIDES:
+        value = getattr(args, dest, None)
+        if value is None:
+            continue
+        if dest == "fractions":
+            value = [eval_fraction(tok) for tok in value.split(",")] if value else []
+        (top if section is None else sections.setdefault(section, {}))[key] = value
+    for section, keys in sections.items():
+        top[section] = dataclasses.replace(getattr(cfg, section), **keys)
+    return dataclasses.replace(cfg, **top)
 
 
 def _read_labels(path, cfg: ExperimentConfig) -> hlc.LabelSequence:
@@ -45,22 +57,6 @@ def _read_labels(path, cfg: ExperimentConfig) -> hlc.LabelSequence:
     if max(seq.labels) >= num_labels:
         raise DomainError(f"{path}: label {max(seq.labels)} out of range for {num_labels} labels")
     return seq
-
-
-def _hlc_params(args, cfg: ExperimentConfig) -> hlc.HlcParams:
-    return hlc.HlcParams(
-        args.sigma_s if args.sigma_s is not None else cfg.hlc.sigma_s,
-        args.t_s if args.t_s is not None else cfg.hlc.t_s,
-        args.sigma_e if args.sigma_e is not None else cfg.hlc.sigma_e,
-        args.t_e if args.t_e is not None else cfg.hlc.t_e,
-    )
-
-
-def _add_hlc_flags(sub) -> None:
-    sub.add_argument("--sigma-s", dest="sigma_s", type=float, default=None)
-    sub.add_argument("--t-s", dest="t_s", type=int, default=None)
-    sub.add_argument("--sigma-e", dest="sigma_e", type=float, default=None)
-    sub.add_argument("--t-e", dest="t_e", type=int, default=None)
 
 
 def cmd_simulate_weights(args) -> int:
@@ -80,12 +76,6 @@ def cmd_gen_dataset(args) -> int:
     return 0
 
 
-def _train_split_dir(dataset_dir: str) -> str:
-    if os.path.isfile(os.path.join(dataset_dir, "manifest.csv")):
-        return dataset_dir
-    return os.path.join(dataset_dir, "train")
-
-
 def _write_model(model, log, model_path, losses_path) -> None:
     classifier.save_model(model, model_path)
     with open(losses_path, "w", newline="", encoding="ascii") as fh:
@@ -97,7 +87,7 @@ def _write_model(model, log, model_path, losses_path) -> None:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    model, log = pipeline.train(cfg, dataset.read_split(_train_split_dir(args.dataset_dir)))
+    model, log = pipeline.train(cfg, dataset.read_split(os.path.join(args.dataset_dir, "train")))
     _write_model(model, log, args.model_out, args.losses or args.model_out + ".losses.csv")
     print(f"trained heads {1 + len(model.predictors)} batches {len(log)}")
     return 0
@@ -105,24 +95,17 @@ def cmd_train(args) -> int:
 
 def cmd_attack(args) -> int:
     cfg = _load_config(args)
-    if os.path.isfile(args.frames):
-        # already-predicted sequence CSV: only correction/accuracy apply
-        seq = _read_labels(args.frames, cfg)
-        truth = None
-    else:
-        model = classifier.load_model(args.model)
-        images, truth = dataset.images_and_labels(dataset.read_split(args.frames))
-        num_labels = model.layout.num_labels
-        if truth.max() >= num_labels:
-            manifest = os.path.join(args.frames, "manifest.csv")
-            raise DomainError(f"{manifest}: label {truth.max()} out of range for the model's {num_labels} labels")
-        seq = hlc.LabelSequence(tuple(int(v) for v in classifier.predict_images(model, images)))
-    if args.use_hlc:
-        seq = hlc.correct_labels(seq, _hlc_params(args, cfg))
+    model = classifier.load_model(args.model)
+    images, truth = dataset.images_and_labels(dataset.read_split(args.frames))
+    num_labels = model.layout.num_labels
+    if truth.max() >= num_labels:
+        manifest = os.path.join(args.frames, "manifest.csv")
+        raise DomainError(f"{manifest}: label {truth.max()} out of range for the model's {num_labels} labels")
+    raw, corrected = pipeline.eavesdrop(cfg, model, images)
+    seq = corrected if args.use_hlc else raw
     if args.out:
         hlc.write_label_sequence(args.out, seq)
-    if truth is not None:
-        print(f"accuracy {accuracy(seq.labels, truth)!r}")
+    print(f"accuracy {accuracy(seq.labels, truth)!r}")
     return 0
 
 
@@ -130,7 +113,7 @@ def cmd_hlc(args) -> int:
     cfg = _load_config(args)
     seq = _read_labels(args.sequence, cfg)
     truth = _read_labels(args.truth, cfg) if args.truth else None
-    corrected = hlc.correct_labels(seq, _hlc_params(args, cfg))
+    corrected = hlc.correct_labels(seq, cfg.hlc)
     hlc.write_label_sequence(args.out, corrected)
     if truth is not None:
         print(f"accuracy {accuracy(corrected.labels, truth.labels)!r}")
@@ -180,62 +163,58 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # parent parsers: each shared flag is declared once
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", default=None)
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=None)
+    training = argparse.ArgumentParser(add_help=False)
+    training.add_argument("--epochs", type=int, default=None)
+    training.add_argument("--batch", type=int, default=None)
+    training.add_argument("--lr", type=float, default=None)
+    training.add_argument("--l-size", dest="l_size", type=int, default=None)
+    correction = argparse.ArgumentParser(add_help=False)
+    correction.add_argument("--sigma-s", dest="sigma_s", type=float, default=None)
+    correction.add_argument("--t-s", dest="t_s", type=int, default=None)
+    correction.add_argument("--sigma-e", dest="sigma_e", type=float, default=None)
+    correction.add_argument("--t-e", dest="t_e", type=int, default=None)
 
-    p = sub.add_parser("simulate-weights", help="per-unit importance-weight curves")
-    p.add_argument("--config", default=None)
+    p = sub.add_parser("simulate-weights", parents=[config], help="per-unit importance-weight curves")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate_weights)
 
-    p = sub.add_parser("gen-dataset", help="render a synthetic labeled dataset")
-    p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p = sub.add_parser("gen-dataset", parents=[config, seed], help="render a synthetic labeled dataset")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_dataset)
 
-    p = sub.add_parser("train", help="train the two-tier classifier")
+    p = sub.add_parser("train", parents=[config, seed, training], help="train the two-tier classifier")
     p.add_argument("dataset_dir")
     p.add_argument("model_out")
-    p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--losses", default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--l-size", dest="l_size", type=int, default=None)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("attack", help="predict a label sequence from frames")
+    p = sub.add_parser("attack", parents=[config, correction], help="predict a label sequence from frames")
     p.add_argument("model")
     p.add_argument("frames")
-    p.add_argument("--config", default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--hlc", dest="use_hlc", action="store_true")
-    _add_hlc_flags(p)
     p.set_defaults(func=cmd_attack)
 
-    p = sub.add_parser("hlc", help="correct a predicted label sequence")
+    p = sub.add_parser("hlc", parents=[config, correction], help="correct a predicted label sequence")
     p.add_argument("sequence")
     p.add_argument("--out", required=True)
-    p.add_argument("--config", default=None)
     p.add_argument("--truth", default=None)
-    _add_hlc_flags(p)
     p.set_defaults(func=cmd_hlc)
 
-    p = sub.add_parser("mdc", help="minimally differentiable content search")
-    p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p = sub.add_parser("mdc", parents=[config, seed], help="minimally differentiable content search")
     p.add_argument("--out", required=True)
     p.add_argument("--fractions", default=None, help="comma list, e.g. 1/16,1/4,1")
     p.set_defaults(func=cmd_mdc)
 
-    p = sub.add_parser("run-all", help="gen-dataset, train, attack and hlc in one go")
-    p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p = sub.add_parser(
+        "run-all", parents=[config, seed, training], help="gen-dataset, train, attack and hlc in one go"
+    )
     p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--l-size", dest="l_size", type=int, default=None)
     p.set_defaults(func=cmd_run_all)
 
     return parser
@@ -245,15 +224,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DomainError as exc:
+    except (ValueError, OSError) as exc:  # DomainError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ValueError) else 2
 
 
 if __name__ == "__main__":

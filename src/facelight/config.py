@@ -31,6 +31,16 @@ class ScreenSection:
     normal: Tuple[float, float, float] = (0.0, 0.0, 1.0)
     radiance_scale: float = 100.0
 
+    def __post_init__(self):
+        for name in ("rows", "cols"):
+            if getattr(self, name) < 1:
+                raise DomainError(f"screen.{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("width", "height"):
+            if not getattr(self, name) > 0.0:
+                raise DomainError(f"screen.{name} must be > 0, got {getattr(self, name)}")
+        if not self.radiance_scale >= 0.0:
+            raise DomainError(f"screen.radiance_scale must be >= 0, got {self.radiance_scale}")
+
 
 @dataclass
 class FaceSection:
@@ -44,11 +54,31 @@ class FaceSection:
     n_s: float = 2.0
     patch_degrees: float = 80.0
 
+    def __post_init__(self):
+        for name in ("rows", "cols"):
+            if getattr(self, name) < 2:
+                raise DomainError(f"face.{name} must be >= 2, got {getattr(self, name)}")
+        for name in ("k_d", "k_s", "k_a"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise DomainError(f"face.{name} must lie in [0, 1], got {getattr(self, name)}")
+        if not self.n_s >= 1.0:
+            raise DomainError(f"face.n_s must be >= 1, got {self.n_s}")
+        if not all(v > 0.0 for v in self.semi_axes):
+            raise DomainError(f"face.semi_axes must be > 0, got {list(self.semi_axes)}")
+        if not 0.0 < self.patch_degrees <= 90.0:
+            raise DomainError(f"face.patch_degrees must lie in (0, 90], got {self.patch_degrees}")
+
 
 @dataclass
 class OpticsSection:
     g: float = 30.0
     ambient: Tuple[float, float, float] = (6.0, 6.0, 6.0)
+
+    def __post_init__(self):
+        if not self.g >= 0.0:
+            raise DomainError(f"optics.g must be >= 0, got {self.g}")
+        if not all(v >= 0.0 for v in self.ambient):
+            raise DomainError(f"optics.ambient must be >= 0 in every channel, got {list(self.ambient)}")
 
 
 @dataclass
@@ -144,6 +174,8 @@ class ExperimentConfig:
     mdc: MdcSection = field(default_factory=MdcSection)
 
     def __post_init__(self):
+        if self.seed is not None and self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         if self.frames_per_app < 1:
             raise DomainError(f"frames_per_app must be >= 1, got {self.frames_per_app}")
         if not 0 < self.delta < math.inf:

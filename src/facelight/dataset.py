@@ -159,6 +159,7 @@ def read_split(split_dir) -> List[FrameRecord]:
     if not os.path.isfile(manifest):
         raise FileNotFoundError(f"no manifest.csv under {split_dir}")
     records = []
+    seen = {}  # (sequence_id, t) -> the manifest line that listed it
     with open(manifest, "r", newline="", encoding="ascii") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -175,8 +176,14 @@ def read_split(split_dir) -> List[FrameRecord]:
                     f"{manifest}:{reader.line_num}: expected {','.join(MANIFEST_HEADER)} "
                     f"with integer label_index and t, got {row}"
                 ) from None
+            where = f"{manifest}:{reader.line_num}"
             if label < 0:
-                raise DomainError(f"{manifest}:{reader.line_num}: label_index must be >= 0, got {label}")
+                raise DomainError(f"{where}: label_index must be >= 0, got {label}")
+            if t < 1:
+                raise DomainError(f"{where}: t must be >= 1, got {t}")
+            first = seen.setdefault((sequence_id, t), reader.line_num)
+            if first != reader.line_num:
+                raise DomainError(f"{where}: sequence_id {sequence_id} and t {t} repeat line {first}")
             image = read_ppm(os.path.join(split_dir, path))
             records.append(FrameRecord(image, label, sequence_id, t))
     if not records:

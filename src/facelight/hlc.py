@@ -149,6 +149,7 @@ def write_label_sequence(path, seq) -> None:
 
 
 def read_label_sequence(path, timestep: float = DEFAULT_TIMESTEP) -> LabelSequence:
+    """Read what `write_label_sequence` writes; each row's t must be its 1-based row number."""
     with open(path, "r", newline="", encoding="ascii") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -159,9 +160,12 @@ def read_label_sequence(path, timestep: float = DEFAULT_TIMESTEP) -> LabelSequen
             if not row:
                 continue
             try:
-                labels.append(int(row[1]))
+                t, label = int(row[0]), int(row[1])
             except (IndexError, ValueError):
                 raise DomainError(f"{path}:{reader.line_num}: expected t,label_index, got {row}") from None
+            if t != len(labels) + 1:
+                raise DomainError(f"{path}:{reader.line_num}: expected t {len(labels) + 1}, got {t}")
+            labels.append(label)
     if not labels:
         raise DomainError(f"{path}: empty label sequence")
     try:

@@ -47,15 +47,20 @@ def train(cfg: ExperimentConfig, records: Sequence[FrameRecord]) -> Tuple[TwoTie
     )
 
 
+def eavesdrop(cfg: ExperimentConfig, model: TwoTierModel, images) -> Tuple[LabelSequence, LabelSequence]:
+    """Predict each frame's label, then correct the sequence with `cfg.hlc`; returns (raw, corrected)."""
+    raw = LabelSequence(tuple(int(v) for v in predict_images(model, images)), cfg.delta)
+    return raw, correct_labels(raw, cfg.hlc)
+
+
 def run_attack(cfg: ExperimentConfig, data: dict) -> AttackResult:
-    """Train on `data["train"]`, predict `data["test"]` and correct the labels.
+    """Train on `data["train"]`, then eavesdrop on `data["test"]`.
 
     `data` is the split dict `dataset.generate_dataset` returns.
     """
     model, log = train(cfg, data["train"])
     images, truth = images_and_labels(data["test"])
-    raw = LabelSequence(tuple(int(v) for v in predict_images(model, images)), cfg.delta)
-    corrected = correct_labels(raw, cfg.hlc)
+    raw, corrected = eavesdrop(cfg, model, images)
     return AttackResult(
         model, log, raw, corrected, truth, accuracy(raw.labels, truth), accuracy(corrected.labels, truth)
     )

@@ -158,8 +158,8 @@ def test_attack_invalid_model_exits_1(pipeline, tmp_path):
     assert run("attack", str(bad), str(pipeline["data"] / "test")) == 1
 
 
-def _assert_one_error_line(capsys, code):
-    assert code == 1
+def _assert_one_error_line(capsys, code, expected=1):
+    assert code == expected
     err = capsys.readouterr().err
     assert "Traceback" not in err
     lines = err.strip().splitlines()
@@ -259,6 +259,9 @@ def test_attack_bad_split_one_error_line(pipeline, tmp_path, capsys, header, lab
         ("frame.ppm,0,test-00,1.5\n", "manifest.csv:2: expected path,label_index,sequence_id,t"),
         ("frame.ppm,-1,test-00,1\n", "manifest.csv:2: label_index must be >= 0, got -1"),
         ("frame.ppm,0,test-00,1\nframe.ppm,,test-00,2\n", "manifest.csv:3: expected"),
+        ("frame.ppm,0,test-00,-3\n", "manifest.csv:2: t must be >= 1, got -3"),
+        ("frame.ppm,0,test-00,0\n", "manifest.csv:2: t must be >= 1, got 0"),
+        ("frame.ppm,0,s,1\nframe.ppm,0,s,1\n", "manifest.csv:3: sequence_id s and t 1 repeat line 2"),
     ],
 )
 def test_attack_bad_manifest_row_one_error_line(pipeline, tmp_path, capsys, rows, named):
@@ -272,7 +275,15 @@ def test_attack_bad_manifest_row_one_error_line(pipeline, tmp_path, capsys, rows
 
 @pytest.mark.parametrize(
     "row, named",
-    [("2\n", "seq.csv:3"), ("2,x\n", "seq.csv:3"), ("2,-5\n", "-5"), ("2,29\n", "seq.csv: label 29")],
+    [
+        ("2\n", "seq.csv:3"),
+        ("2,x\n", "seq.csv:3"),
+        ("2,-5\n", "-5"),
+        ("2,29\n", "seq.csv: label 29"),
+        ("abc,3\n", "seq.csv:3: expected t,label_index"),
+        ("9,1\n9,1\n", "seq.csv:3: expected t 2, got 9"),
+        ("1,1\n", "seq.csv:3: expected t 2, got 1"),
+    ],
 )
 def test_hlc_malformed_label_csv_one_error_line(tmp_path, capsys, row, named):
     seq = tmp_path / "seq.csv"
@@ -380,17 +391,6 @@ def test_mdc_single_fraction_single_row(tmp_path, tiny_config):
     assert len(lines) == 2
 
 
-def test_attack_accepts_sequence_file(pipeline, tmp_path):
-    raw = tmp_path / "raw.csv"
-    via_dir = tmp_path / "via_dir.csv"
-    via_file = tmp_path / "via_file.csv"
-    test_dir = str(pipeline["data"] / "test")
-    assert run("attack", str(pipeline["model"]), test_dir, "--out", str(raw)) == 0
-    assert run("attack", str(pipeline["model"]), test_dir, "--out", str(via_dir), "--hlc") == 0
-    assert run("attack", str(pipeline["model"]), str(raw), "--out", str(via_file), "--hlc") == 0
-    assert via_dir.read_bytes() == via_file.read_bytes()
-
-
 def test_attack_accuracy_line_is_plain_decimal(pipeline, tmp_path, capsys):
     test_dir = str(pipeline["data"] / "test")
     assert run("attack", str(pipeline["model"]), test_dir) == 0
@@ -428,6 +428,19 @@ def test_mdc_zero_denominator_one_error_line(tmp_path, tiny_config, capsys):
         ("weight_sim", "points", [[0.0, 0.5, 0.0, 0.0]], "weight_sim.points[0]"),
         (None, "p_grid", 17, "p_grid must lie in [1, l_size = 16]"),
         (None, "p_grid", 0, "p_grid must lie in [1, l_size = 16]"),
+        (None, "seed", -1, "seed must be >= 0, got -1"),
+        ("optics", "g", -5, "optics.g must be >= 0, got -5"),
+        ("optics", "ambient", [6.0, -1.0, 6.0], "optics.ambient must be >= 0"),
+        ("face", "k_d", -1, "face.k_d must lie in [0, 1], got -1"),
+        ("face", "k_s", 1.5, "face.k_s must lie in [0, 1], got 1.5"),
+        ("face", "n_s", 0.5, "face.n_s must be >= 1, got 0.5"),
+        ("face", "rows", 1, "face.rows must be >= 2, got 1"),
+        ("screen", "rows", 0, "screen.rows must be >= 1, got 0"),
+        ("screen", "cols", -2, "screen.cols must be >= 1, got -2"),
+        ("screen", "width", 0, "screen.width must be > 0, got 0"),
+        ("screen", "radiance_scale", -1, "screen.radiance_scale must be >= 0, got -1"),
+        ("face", "semi_axes", [0.08, 0.0, 0.09], "face.semi_axes must be > 0"),
+        ("face", "patch_degrees", 400, "face.patch_degrees must lie in (0, 90], got 400"),
     ],
 )
 def test_bad_config_value_one_error_line(tmp_path, capsys, section, key, value, named):
@@ -436,9 +449,11 @@ def test_bad_config_value_one_error_line(tmp_path, capsys, section, key, value, 
     parent[key] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    code = run("gen-dataset", "--config", str(path), "--out", str(tmp_path / "x"))
-    assert named in _assert_one_error_line(capsys, code)
-    assert not (tmp_path / "x").exists()
+    # every command that reads the config rejects it, whether or not it builds the scene
+    for command in ("gen-dataset", "simulate-weights", "mdc"):
+        code = run(command, "--config", str(path), "--out", str(tmp_path / "x"))
+        assert named in _assert_one_error_line(capsys, code)
+        assert not (tmp_path / "x").exists()
 
 
 def test_train_flag_out_of_range_one_error_line(tmp_path, tiny_config, capsys):
@@ -452,19 +467,83 @@ def test_l_size_flag_below_p_grid_one_error_line(tmp_path, tiny_config, capsys):
     assert not (tmp_path / "r").exists()
 
 
-@pytest.mark.parametrize("command", ["hlc-truth", "attack"])
+@pytest.mark.parametrize("command", ["hlc-truth"])
 def test_label_beyond_layout_one_error_line(tmp_path, tiny_config, capsys, command):
     good = tmp_path / "good.csv"
     bad = tmp_path / "bad.csv"
     good.write_text("t,label_index\n1,0\n2,3\n")
     bad.write_text("t,label_index\n1,0\n2,4\n")  # TINY has 4 labels
     out = str(tmp_path / "z.csv")
-    if command == "attack":
-        argv = ("attack", "unused-model.json", str(bad), "--config", tiny_config, "--out", out)
-    else:
-        argv = ("hlc", str(good), "--truth", str(bad), "--config", tiny_config, "--out", out)
+    argv = ("hlc", str(good), "--truth", str(bad), "--config", tiny_config, "--out", out)
     line = _assert_one_error_line(capsys, run(*argv))
     assert f"{bad}: label 4" in line
+
+
+def test_attack_and_train_read_only_their_documented_layout(pipeline, tmp_path, capsys):
+    """attack takes a split directory (label CSVs go through hlc); train takes gen-dataset's directory."""
+    labels = tmp_path / "labels.csv"
+    labels.write_text("t,label_index\n1,0\n")
+    line = _assert_one_error_line(capsys, run("attack", str(pipeline["model"]), str(labels)), 2)
+    assert line == f"error: no manifest.csv under {labels}"
+    split = pipeline["data"] / "train"
+    model = tmp_path / "model.json"
+    line = _assert_one_error_line(capsys, run("train", str(split), str(model), "--config", pipeline["config"]), 2)
+    assert line == f"error: no manifest.csv under {split / 'train'}"
+    assert not model.exists()
+
+
+# (command, flag, value, config section or None, key, the key's value, an out-of-range flag value)
+OVERRIDES = [
+    ("mdc", "--seed", "5", None, "seed", 5, "-1"),
+    ("train", "--l-size", "8", None, "l_size", 8, "1"),
+    ("train", "--epochs", "1", "train", "epochs", 1, "0"),
+    ("train", "--batch", "5", "train", "batch_size", 5, "0"),
+    ("train", "--lr", "0.01", "train", "learning_rate", 0.01, "-1"),
+    ("hlc", "--sigma-s", "0.6", "hlc", "sigma_s", 0.6, "0.4"),
+    ("hlc", "--t-s", "3", "hlc", "t_s", 3, "0"),
+    ("hlc", "--sigma-e", "0.5", "hlc", "sigma_e", 0.5, "0"),
+    ("hlc", "--t-e", "1", "hlc", "t_e", 1, "-1"),
+    ("mdc", "--fractions", "1/2", "mdc", "fractions", [0.5], ""),
+]
+
+# labels that a step-function corrector splits differently for each HLC override above
+HLC_INPUT = [3, 3, 3, 1, 3, 3] + [1] * 12 + [0, 2, 1, 0, 0, 3]
+
+
+def _override_argv(command, pipeline, out):
+    """argv of `command` writing to `out` (and, for train, its losses beside it)."""
+    if command == "train":
+        return ("train", str(pipeline["data"]), str(out), "--losses", str(out) + ".losses")
+    if command == "hlc":
+        labels = out.parent / "labels.csv"
+        labels.write_text("t,label_index\n" + "".join(f"{t},{v}\n" for t, v in enumerate(HLC_INPUT, 1)))
+        return ("hlc", str(labels), "--out", str(out))
+    return (command, "--out", str(out))
+
+
+@pytest.mark.parametrize("command, flag, value, section, key, config_value, bad", OVERRIDES)
+def test_flag_equals_config_key(pipeline, tmp_path, capsys, command, flag, value, section, key, config_value, bad):
+    keyed = json.loads(json.dumps(TINY))
+    (keyed if section is None else keyed.setdefault(section, {}))[key] = config_value
+
+    def call(name, doc, *flags):
+        """(exit code, captured output, output files) of one run in its own directory."""
+        out = tmp_path / name / "out"
+        out.parent.mkdir()
+        (out.parent / "config.json").write_text(json.dumps(doc))
+        code = run(*_override_argv(command, pipeline, out), "--config", str(out.parent / "config.json"), *flags)
+        files = [p.read_bytes() for p in sorted(out.parent.glob("out*"))]
+        return code, capsys.readouterr(), files
+
+    base, by_flag, by_key = call("base", TINY), call("flag", TINY, flag, value), call("key", keyed)
+    assert base[0] == by_flag[0] == by_key[0] == 0
+    assert (by_flag[1].out, by_flag[2]) == (by_key[1].out, by_key[2])
+    assert (by_flag[1].out, by_flag[2]) != (base[1].out, base[2])  # the key matters on this input
+
+    code, printed, files = call("bad", TINY, flag, bad)
+    lines = printed.err.strip().splitlines()
+    assert code == 1 and len(lines) == 1 and lines[0].startswith("error: ")
+    assert files == []
 
 
 NOISY = {**TINY, "noise": {"pixel_sigma": 0.3}}  # pre-correction accuracy below 1.0
