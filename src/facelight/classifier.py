@@ -218,6 +218,9 @@ def _train_head(
     log: List[dict],
     head_name: str,
 ) -> None:
+    # a one-output softmax is exactly 1, so its loss is -0.0 and every gradient
+    # and Adam step is exactly zero: such a head only draws its batch orders
+    fixed = head.out_dim == 1
     params = head.params()
     moments = {name: (np.zeros_like(p), np.zeros_like(p)) for name, p in params.items()}
     scratch = np.empty((2, ADAM_BLOCK))
@@ -225,11 +228,13 @@ def _train_head(
     for epoch in range(1, epochs + 1):
         order = rng.permutation(x.shape[0])
         for b, start in enumerate(range(0, x.shape[0], batch_size)):
-            idx = order[start : start + batch_size]
-            loss, grads = head.loss_and_gradients(x[idx], y[idx])
-            t += 1
-            for name, p in params.items():
-                adam_update(p, grads[name], *moments[name], t, lr, scratch)
+            loss = -0.0
+            if not fixed:
+                idx = order[start : start + batch_size]
+                loss, grads = head.loss_and_gradients(x[idx], y[idx])
+                t += 1
+                for name, p in params.items():
+                    adam_update(p, grads[name], *moments[name], t, lr, scratch)
             log.append({"head": head_name, "epoch": epoch, "batch": b, "loss": loss})
 
 

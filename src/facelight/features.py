@@ -17,29 +17,46 @@ kh*kw windows of each pixel (an im2col copy would be N*Cin*H*W*kh*kw
 floats, 822 MB for the 7x7 gate on 256 frames at 64x64), so the working set
 stays a few copies of the block itself.
 
-`extract_features` runs every stage on blocks of `block_frames(l_size)`
-frames, sized so that one (n, 3, L, L) float64 tensor fills about
-`BLOCK_BYTES` (5 frames at L=64, 21 at L=32, 85 at L=16).  Each stage then
-makes its few block-sized temporaries in the per-core L2 cache instead of
-streaming tensors of tens of MiB through memory, and peak memory no longer
-grows with the batch.  No stage changes its arithmetic and each frame's
-features depend only on that frame, so the blocking is bit-identical to
-running the whole batch at once.
+`extract_features` runs every stage on blocks of `block_frames(L, H, W)`
+frames, sized so that the largest array any stage makes for a block is about
+`BLOCK_BYTES`: per frame the largest of the (3, L, L) float64 tensors, the
+resize column pass's (2H, L, 3) float64 and `upscale2x`'s (2H, 2W, 3) uint16
+sums (5, 14 and 28 frames at L = 64, 32 and 16 from 24x24 frames).  Each
+stage then makes its few block-sized temporaries in the per-core L2 cache
+instead of streaming tensors of tens of MiB through memory, and peak memory
+no longer grows with the batch.  No stage changes its arithmetic and each
+frame's features depend only on that frame, so the blocking is bit-identical
+to running the whole batch at once.
+
+The blocks run on one thread per CPU the process may use, at most
+`MAX_THREADS`; numpy releases the interpreter lock inside the ufuncs and
+matrix products that do the work.  Thread k takes blocks k, k + T, k + 2T,
+... and each block's features go to their own slot, so the result does not
+depend on scheduling or on the thread count.  The calling thread takes share
+0 and short-lived helpers the rest, joined before the call returns: glibc
+gives every thread that allocates its own malloc arena, which keeps about as
+much freed memory as the largest temporaries that thread made, so working in
+the caller saves one arena, and the per-array block rule above keeps what
+each helper's arena holds small.  The first failing block's exception is
+raised in the caller.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .preprocess import preprocess
+from .preprocess import check_image, preprocess
 
 CHANNELS = 3
 SPATIAL_KERNEL = 7
 WEIGHT_STD = 0.1
-BLOCK_BYTES = 512 * 1024  # one block's (n, 3, L, L) float64 tensor; fits a per-core L2
+BLOCK_BYTES = 512 * 1024  # the largest array a stage makes for one block; fits a per-core L2
+MAX_THREADS = 4  # feature threads per call, the calling thread included
 # the shape of every FeatureParams array, in field order
 PARAM_SHAPES = {
     "conv1": (3, 3, 3, 3), "conv2": (3, 3, 3, 3), "conv3": (3, 3, 3, 3),
@@ -117,12 +134,16 @@ def conv2d_same(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     padded[:, :, ph : ph + h, pw : pw + w] = x
     flat = padded.reshape(n, cin, -1)
     span = h * wp
-    out = np.zeros((n, cout, span))
+    # the first tap's product initialises the output: against summing into
+    # zeros only the sign of an all-zero result can differ, and the affine
+    # shift or the sigmoid after every convolution removes it
+    out = np.empty((n, cout, span))
     term = np.empty_like(out)
-    for a in range(kh):
-        for b in range(kw):
-            start = a * wp + b
-            np.matmul(kernel[:, :, a, b], flat[:, :, start : start + span], out=term)
+    for tap in range(kh * kw):
+        a, b = divmod(tap, kw)
+        start = a * wp + b
+        np.matmul(kernel[:, :, a, b], flat[:, :, start : start + span], out=term if tap else out)
+        if tap:
             out += term
     return out.reshape(n, cout, h, wp)[..., :w]
 
@@ -144,12 +165,9 @@ def _relu(x: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Overflow-free logistic: 1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def resblock_forward(x, params: FeatureParams) -> np.ndarray:
@@ -223,31 +241,69 @@ def feature_length(p_grid: int) -> int:
     return CHANNELS * (2 + p_grid * p_grid)
 
 
-def block_frames(l_size: int) -> int:
-    """Frames per `extract_features` block: one (n, 3, L, L) float64 tensor of about BLOCK_BYTES."""
+def block_frames(l_size: int, height: int, width: int) -> int:
+    """Frames per `extract_features` block for (height, width) images at target size L.
+
+    The largest per-frame array any stage makes sets the count: the (3, L, L)
+    float64 tensors, the resize column pass's (2H, L, 3) float64 and
+    `upscale2x`'s (2H, 2W, 3) uint16 sums; a block holds about BLOCK_BYTES of it.
+    """
     if l_size < 1:
         raise DomainError(f"target size must be >= 1, got {l_size}")
-    return max(1, BLOCK_BYTES // (CHANNELS * l_size * l_size * 8))
+    per_frame = CHANNELS * max(8 * l_size * l_size, 8 * 2 * height * l_size, 2 * 2 * height * 2 * width)
+    return max(1, BLOCK_BYTES // per_frame)
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _block_features(imgs: np.ndarray, params: FeatureParams, l_size: int, p_grid: int) -> np.ndarray:
+    block = cbam_forward(resblock_forward(preprocess(imgs, l_size), params), params)
+    return pooled_features(block, p_grid)
 
 
 def extract_features(images, params: FeatureParams, l_size: int, p_grid: int) -> np.ndarray:
     """Images -> feature vectors: preprocess, resblock, attention, pooling.
 
-    Accepts one (H, W, 3) image or a batch.  All four stages run on one block
-    of `block_frames(l_size)` frames at a time, so the temporaries stay
-    cache-sized; a frame's features depend only on that frame, so the result
-    equals the whole-batch composition bit for bit.  Returns (N, 3*(2+P^2))
-    for batches, a flat vector for a single image.
+    Accepts one (H, W, 3) image or a non-empty batch.  All four stages run on
+    one block of `block_frames` frames at a time, so the temporaries stay
+    cache-sized, and the blocks are spread over the available CPUs (see the
+    module notes); a frame's features depend only on that frame, so the
+    result equals the whole-batch composition bit for bit.  Returns
+    (N, 3*(2+P^2)) for batches, a flat vector for a single image.
     """
-    imgs = np.asarray(images)
-    batched = imgs.ndim == 4
-    if not batched:
-        imgs = imgs[None]
-    step = block_frames(l_size)
-    chunks = []
-    for start in range(0, imgs.shape[0], step):
-        block = preprocess(imgs[start : start + step], l_size)
-        block = cbam_forward(resblock_forward(block, params), params)
-        chunks.append(pooled_features(block, p_grid))
-    out = np.concatenate(chunks, axis=0)
+    imgs, batched = check_image(images)
+    if imgs.shape[0] == 0:
+        raise DomainError("expected at least one image")
+    step = block_frames(l_size, imgs.shape[1], imgs.shape[2])
+    starts = range(0, imgs.shape[0], step)
+    threads = min(_cpu_count(), MAX_THREADS, len(starts))
+    slots = [None] * len(starts)
+    failures = [None] * threads  # (block index, exception) of each thread's first failing block
+
+    def work(k: int) -> None:
+        for i in range(k, len(starts), threads):
+            try:
+                slots[i] = _block_features(imgs[starts[i] : starts[i] + step], params, l_size, p_grid)
+            except Exception as exc:  # raised again in the caller below
+                failures[k] = (i, exc)
+                return
+
+    helpers = [threading.Thread(target=work, args=(k,)) for k in range(1, threads)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work(0)
+    finally:
+        for helper in helpers:
+            helper.join()
+    failed = [f for f in failures if f is not None]
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    out = np.concatenate(slots, axis=0)
     return out if batched else out[0]

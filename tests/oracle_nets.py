@@ -6,7 +6,10 @@ independent oracles.  Two whole-array references sit beside them, kept from
 earlier versions of the package so the replacements can be held to them:
 `conv2d_einsum`, the im2col-style convolution that einsums over every
 materialised kh x kw window, and `bilinear_resize_rows_first`, which gathers
-source rows before columns.  `one_hot` and `cross_entropy` are the
+source rows before columns.  `conv2d_zero_fill` (the shift-and-add
+convolution accumulating every tap into zeros) and `sigmoid_masked` (the
+logistic evaluated through boolean masks) are the feature stages' earlier
+forms, which the package's features must still match bit for bit.  `one_hot` and `cross_entropy` are the
 per-sample label encoding and loss that the classifier computes in batches.
 
 For training, `adam_step` is the allocating Adam update the package used
@@ -54,6 +57,37 @@ def bilinear_resize_rows_first(image, out_h, out_w):
     out = top * (1 - tr)[None, :, None, None] + bot * tr[None, :, None, None]
     out = np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)
     return out if batched else out[0]
+
+
+def conv2d_zero_fill(x, kernel):
+    """(N, C_in, H, W) x (C_out, C_in, kh, kw) -> (N, C_out, H, W): shift-and-add
+    over the zero-padded input, every tap's product added to a zeroed output."""
+    n, cin, h, w = x.shape
+    cout, _, kh, kw = kernel.shape
+    ph, pw = kh // 2, kw // 2
+    wp = w + 2 * pw
+    padded = np.zeros((n, cin, h + 2 * ph + 1, wp), dtype=x.dtype)
+    padded[:, :, ph : ph + h, pw : pw + w] = x
+    flat = padded.reshape(n, cin, -1)
+    span = h * wp
+    out = np.zeros((n, cout, span))
+    term = np.empty_like(out)
+    for a in range(kh):
+        for b in range(kw):
+            start = a * wp + b
+            np.matmul(kernel[:, :, a, b], flat[:, :, start : start + span], out=term)
+            out += term
+    return out.reshape(n, cout, h, wp)[..., :w]
+
+
+def sigmoid_masked(x):
+    """Elementwise logistic, positive and negative inputs gathered by boolean masks."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
 
 def conv2d_loops(x, kernel):

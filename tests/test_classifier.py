@@ -328,6 +328,22 @@ def test_train_matches_whole_array_reference_bits():
             assert arr.tobytes() == getattr(want, name).tobytes(), name
 
 
+def test_train_one_app_head_matches_reference_bits():
+    # the middle category has one app: its head logs -0.0 for every batch and
+    # keeps its initial weights, as full training of it does
+    layout = LabelLayout((3, 1, 2))
+    rng = np.random.default_rng(5)
+    x, y = _toy_features(rng, 9, _padded_centers(layout, p_grid=2), spread=0.3)
+    model, log = train_two_tier(x, y, layout, epochs=3, batch_size=4, lr=1e-2, seed=7, p_grid=2)
+    heads, want_log = train_two_tier_reference(x, y, layout, epochs=3, batch_size=4, lr=1e-2, seed=7)
+    assert log == want_log
+    one_app = [row["loss"] for row in log if row["head"] == layout.category_name(1)]
+    assert len(one_app) == 3 * 3 and all(math.copysign(1.0, v) == -1.0 and v == 0.0 for v in one_app)
+    for got, want in zip([model.discriminator] + model.predictors, heads, strict=True):
+        for name, arr in got.params().items():
+            assert arr.tobytes() == getattr(want, name).tobytes(), name
+
+
 # --- prediction ------------------------------------------------------------------
 
 def _tiny_model(layout, seed=0):

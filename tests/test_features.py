@@ -1,13 +1,25 @@
 import dataclasses
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracle_nets import cbam_loops, conv2d_einsum, conv2d_loops, pooled_loops, resblock_loops
+from oracle_nets import (
+    cbam_loops,
+    conv2d_einsum,
+    conv2d_loops,
+    conv2d_zero_fill,
+    pooled_loops,
+    resblock_loops,
+    sigmoid_masked,
+)
 
+from facelight import features
 from facelight.errors import DomainError
 from facelight.features import (
+    MAX_THREADS,
     FeatureParams,
     block_frames,
     cbam_forward,
@@ -17,7 +29,7 @@ from facelight.features import (
     pooled_features,
     resblock_forward,
 )
-from facelight.preprocess import preprocess
+from facelight.preprocess import bilinear_resize, preprocess
 
 
 def zero_params(seed=0):
@@ -200,9 +212,13 @@ def test_extract_features_independent_of_chunking():
 
 
 def test_block_frames_rule():
-    assert [block_frames(l) for l in (64, 32, 16)] == [5, 21, 85]
-    assert block_frames(1024) == 1
-    assert all(block_frames(l) >= 1 for l in range(1, 2048, 7))
+    # the largest per-frame array sets the count: the (3, L, L) float64 tensor
+    # at L=64, the resize column pass's (48, L, 3) float64 at L=32 and L=16
+    assert [block_frames(l, 24, 24) for l in (64, 32, 16)] == [5, 14, 28]
+    assert block_frames(16, 8, 8) == 85
+    assert block_frames(1024, 24, 24) == 1
+    assert block_frames(16, 1024, 1024) == 1
+    assert all(block_frames(l, 24, 24) >= 1 for l in range(1, 2048, 7))
 
 
 def test_extract_features_rejects_size_below_one():
@@ -212,17 +228,127 @@ def test_extract_features_rejects_size_below_one():
 
 
 @pytest.mark.parametrize("l_size", [16, 32, 64])
-def test_blocked_features_equal_whole_batch(l_size):
+def test_blocked_features_equal_whole_batch(l_size, monkeypatch):
     params = FeatureParams.from_seed(14)
-    b = block_frames(l_size)
+    b = block_frames(l_size, 9, 11)
     rng = np.random.default_rng(l_size)
+    switch = sys.getswitchinterval()
     for n in sorted({1, max(1, b - 1), b, b + 1, 3 * b + 2}):
         imgs = rng.integers(0, 256, size=(n, 9, 11, 3), dtype=np.uint8)
         whole = pooled_features(cbam_forward(resblock_forward(preprocess(imgs, l_size), params), params), 2)
-        assert np.array_equal(extract_features(imgs, params, l_size, 2), whole), n
+        # one thread, two, and more threads than this host may have cores,
+        # switching often so that the threads interleave inside every block
+        for cpus in (1, 2, MAX_THREADS):
+            monkeypatch.setattr(features, "_cpu_count", lambda: cpus)
+            sys.setswitchinterval(1e-5)
+            try:
+                got = extract_features(imgs, params, l_size, 2)
+            finally:
+                sys.setswitchinterval(switch)
+            assert got.tobytes() == whole.tobytes(), (n, cpus)
     single = extract_features(imgs[0], params, l_size, 2)
     assert single.shape == (feature_length(2),)
     assert np.array_equal(single, whole[0])
+
+
+@pytest.mark.parametrize("l_size", [16, 32, 40, 64])
+def test_features_equal_earlier_stage_forms(l_size, monkeypatch):
+    # the zero-filled convolution, the masked sigmoid and the float 2x resample
+    # give the same feature bytes as the stages that replaced them
+    imgs = np.random.default_rng([l_size, 3]).integers(0, 256, size=(23, 24, 24, 3), dtype=np.uint8)
+    params = FeatureParams.from_seed(l_size)
+    got = extract_features(imgs, params, l_size, 4)
+    monkeypatch.setattr(features, "conv2d_same", conv2d_zero_fill)
+    monkeypatch.setattr(features, "_sigmoid", sigmoid_masked)
+    monkeypatch.setattr(
+        sys.modules[preprocess.__module__],
+        "upscale2x",
+        lambda im: bilinear_resize(im, 2 * im.shape[1], 2 * im.shape[2]),
+    )
+    want = pooled_features(cbam_forward(resblock_forward(preprocess(imgs, l_size), params), params), 4)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_sigmoid_matches_masked_form_bits():
+    rng = np.random.default_rng(16)
+    edges = [0.0, -0.0, 745.0, -745.0, 1e-300, -1e-300, 710.0, -710.0, 1e308, -1e308, 36.0, -36.0]
+    x = np.concatenate([rng.normal(0, 10, size=100_000), rng.normal(0, 1e-3, size=1000), edges])
+    assert features._sigmoid(x).tobytes() == sigmoid_masked(x).tobytes()
+    grid = x[:1200].reshape(3, 20, 20)
+    assert features._sigmoid(grid).tobytes() == sigmoid_masked(grid).tobytes()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, MAX_THREADS])
+def test_bad_image_in_later_block_raises_in_caller(cpus, monkeypatch):
+    monkeypatch.setattr(features, "_cpu_count", lambda: cpus)
+    params = FeatureParams.from_seed(17)
+    step = block_frames(16, 9, 11)
+    imgs = np.random.default_rng(17).integers(0, 256, size=(6 * step, 9, 11, 3))
+    imgs[3 * step + 2, 4, 5, 1] = 256  # block 3: a helper's block once there are threads
+    before = threading.active_count()
+    with pytest.raises(DomainError, match=r"integers in \[0, 255\]"):
+        extract_features(imgs, params, 16, 2)
+    assert threading.active_count() == before
+    imgs[3 * step + 2, 4, 5, 1] = 255
+    assert extract_features(imgs, params, 16, 2).shape == (6 * step, feature_length(2))
+
+    # blocks 2 and 5 both fail, on different threads once there are two or
+    # more: the first failing block's error is the one raised
+    def marked(block, l_size):
+        if block[:, 0, 0, 0].max() > 250:
+            raise DomainError(f"marked frame {block[:, 0, 0, 0].max()}")
+        return preprocess(block, l_size)
+
+    monkeypatch.setattr(features, "preprocess", marked)
+    imgs[:, 0, 0, 0] = 0
+    imgs[5 * step, 0, 0, 0] = 252
+    imgs[2 * step + 1, 0, 0, 0] = 251
+    with pytest.raises(DomainError, match="marked frame 251"):
+        extract_features(imgs, params, 16, 2)
+    assert threading.active_count() == before
+
+
+def test_extract_features_threads_per_call(monkeypatch):
+    # one thread per CPU up to MAX_THREADS and never more than the blocks,
+    # the caller among them, and every block run exactly once
+    seen = []
+
+    def spy(block, l_size):
+        seen.append(threading.current_thread())
+        return preprocess(block, l_size)
+
+    monkeypatch.setattr(features, "preprocess", spy)
+    params = FeatureParams.from_seed(19)
+    step = block_frames(16, 9, 11)
+    imgs = np.zeros((12 * step, 9, 11, 3), dtype=np.uint8)
+    for cpus, blocks, want in [(64, 12, MAX_THREADS), (2, 12, 2), (1, 12, 1), (64, 3, 3), (64, 1, 1)]:
+        monkeypatch.setattr(features, "_cpu_count", lambda: cpus)
+        seen.clear()
+        extract_features(imgs[: blocks * step], params, 16, 2)
+        assert len(seen) == blocks
+        assert len(set(seen)) == want
+        assert threading.current_thread() in seen
+
+
+def test_extract_features_rejects_empty_batch():
+    with pytest.raises(DomainError, match="at least one image"):
+        extract_features(np.zeros((0, 9, 9, 3), dtype=np.uint8), FeatureParams.from_seed(0), 16, 2)
+
+
+def test_extract_features_threads_peak_bounded(monkeypatch):
+    # every thread's allocations count; one thread on 85-frame blocks (the
+    # (3, L, L) rule) peaked at 16.6 MiB here, MAX_THREADS threads on the
+    # per-array rule's 28-frame blocks at about 5 MiB
+    monkeypatch.setattr(features, "_cpu_count", lambda: MAX_THREADS)
+    imgs = np.random.default_rng(18).integers(0, 256, size=(1024, 24, 24, 3), dtype=np.uint8)
+    params = FeatureParams.from_seed(18)
+    tracemalloc.start()
+    try:
+        extract_features(imgs, params, 16, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_extract_features_peak_independent_of_batch():

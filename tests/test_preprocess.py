@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from oracle_nets import bilinear_resize_rows_first
 
@@ -31,6 +34,36 @@ def test_upscale_1x2_monotone_rows():
     assert row[0] == 0 and row[-1] == 255
     # half-pixel bilinear taps: 0, 0.25, 0.75, 1.0 of the span
     assert list(row) == [0, 64, 191, 255]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    hnp.arrays(
+        np.uint8,
+        st.tuples(st.integers(1, 3), st.integers(1, 9), st.integers(1, 9), st.just(3)),
+        elements=st.integers(0, 255),
+    )
+)
+def test_upscale_equals_float_bilinear(imgs):
+    # the integer 2x path against the float resample it replaces, 1-pixel sides included
+    want = bilinear_resize(imgs, 2 * imgs.shape[1], 2 * imgs.shape[2])
+    assert np.array_equal(upscale2x(imgs), want)
+    assert np.array_equal(upscale2x(imgs[0]), want[0])
+
+
+def test_upscale_accepts_8bit_values_of_any_dtype():
+    img = np.random.default_rng(1).integers(0, 256, size=(5, 4, 3))
+    want = upscale2x(img.astype(np.uint8))
+    assert np.array_equal(upscale2x(img), want)
+    assert np.array_equal(upscale2x(img.astype(float)), want)
+
+
+@pytest.mark.parametrize("bad", [256, -1, 1.5, np.nan, np.inf])
+def test_upscale_rejects_values_outside_8bit(bad):
+    img = np.zeros((3, 4, 3))
+    img[1, 2, 0] = bad
+    with pytest.raises(DomainError, match=r"integers in \[0, 255\]"):
+        upscale2x(img)
 
 
 def test_resize_identity():
