@@ -300,7 +300,8 @@ def predict_features(model: TwoTierModel, features: np.ndarray) -> np.ndarray:
     cat_probs = model.discriminator.forward(x)
     cats = np.argmax(cat_probs, axis=1)  # ties resolve to the lowest index
     out = np.empty(x.shape[0], dtype=int)
-    for j in np.unique(cats):
+    # np.unique would import numpy.ma on first use, a cost on every attack's start-up
+    for j in np.flatnonzero(np.bincount(cats)):
         sel = cats == j
         app_probs = model.predictors[j].forward(x[sel])
         ks = np.argmax(app_probs, axis=1)

@@ -13,12 +13,30 @@ While a step is open every position is rewritten to the step label; positions
 covered by no step become UNKNOWN.  When a step closes the start test is
 re-evaluated at the same position.
 
-`correct_labels` makes one forward pass holding the open step.  The window
-counts come from each label's sorted positions, built once per call, so the
-start test is two bisections and the end test visits only the step label's
-positions inside its window.  Both tests keep the float expressions of the
+The correction is one forward scan that yields (start, end, label) segments.
+What does not depend on the parameters is built once per sequence (`_Scan`):
+the int labels, the end of each run of equal labels, every label's positions
+in ascending order (one stable sort), and sort keys from which a searchsorted
+counts a label inside any window.  For one (sigma_s, T_s) the start test is
+computed for every position at once, as the ascending list of positions where
+it passes, so the scan jumps straight to the next start wherever no step is
+open.  While a step is open the scan skips:
+
+  * every run of the step's own label: there the window of length one holds
+    a share of 1 >= sigma_e (`HlcParams` keeps sigma_e <= 0.5), so the end
+    test cannot close the step;
+  * the rest of a gap between two of the step label's positions once the end
+    test passes at the gap's first position: a later position of the gap sees
+    the same step positions in the same passing window, shortened from the
+    left, so their share only grows.
+
+So the end test runs once per gap, and visits only the step label's positions
+inside its window.  Both tests keep the float expressions of the
 position-by-position definition (`count / length >= sigma`), so the labels
-equal those of the loop in `tests/oracle_hlc.py`.
+equal those of the loop in `tests/oracle_hlc.py`.  `sweep_params` builds the
+structures once per sequence, computes the start test once per (sigma_s, T_s)
+and scans once per grid point.  Labels are checked once, at entry: anything
+but integers >= UNKNOWN raises DomainError naming the argument.
 """
 
 from __future__ import annotations
@@ -27,12 +45,50 @@ import csv
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
+
+import numpy as np
 
 from .errors import DomainError
-from .labels import UNKNOWN, accuracy
+from .labels import UNKNOWN
 
 DEFAULT_TIMESTEP = 0.5
+
+_MAX_LABEL = int(np.iinfo(np.int64).max)
+
+
+def _label(value, name: str) -> int:
+    try:
+        label = int(value)
+    except (TypeError, ValueError, OverflowError):
+        label = None
+    if label is None or label != value or not UNKNOWN <= label <= _MAX_LABEL:
+        raise DomainError(f"{name}: labels must be integers >= {UNKNOWN}, got {value}")
+    return label
+
+
+def _label_array(values, name: str) -> np.ndarray:
+    """`values` as a 1-D int64 array; anything but integer labels >= UNKNOWN raises DomainError naming `name`."""
+    if isinstance(values, LabelSequence):
+        values = values.labels
+    elif not isinstance(values, np.ndarray):
+        try:
+            values = list(values)
+        except TypeError:
+            raise DomainError(f"{name}: expected a sequence of labels, got {type(values).__name__}") from None
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged nesting; the per-value check names the culprit
+        arr = None
+    if arr is not None and arr.ndim != 1:
+        raise DomainError(f"{name}: expected a 1-D sequence of labels, got shape {arr.shape}")
+    if arr is None or arr.dtype.kind != "i":
+        arr = np.array([_label(v, name) for v in values], dtype=np.int64)
+    if arr.size == 0:
+        raise DomainError(f"{name}: expected at least one label")
+    if arr.min() < UNKNOWN:
+        raise DomainError(f"{name}: labels must be integers >= {UNKNOWN}, got {arr.min()}")
+    return arr.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -43,11 +99,7 @@ class LabelSequence:
     timestep: float = DEFAULT_TIMESTEP
 
     def __post_init__(self):
-        labels = tuple(int(v) for v in self.labels)
-        if len(labels) < 1:
-            raise DomainError("label sequence must have length >= 1")
-        if min(labels) < UNKNOWN:
-            raise DomainError(f"labels must be >= {UNKNOWN}, got {min(labels)}")
+        labels = tuple(_label_array(self.labels, "label sequence").tolist())
         if not 0 < self.timestep < math.inf:
             raise DomainError(f"timestep must be finite and > 0, got {self.timestep}")
         object.__setattr__(self, "labels", labels)
@@ -76,55 +128,118 @@ class HlcParams:
             raise DomainError(f"T_e must be >= 0, got {self.t_e}")
 
 
-def _labels_of(y) -> Tuple[int, ...]:
-    if isinstance(y, LabelSequence):
-        return y.labels
-    return tuple(int(v) for v in y)
+def _runs(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """For every index, the number of the run of equal values holding it and where that run ends."""
+    starts = np.flatnonzero(values[1:] != values[:-1]) + 1
+    run = np.searchsorted(starts, np.arange(len(values)), side="right")
+    return run, np.concatenate((starts, [len(values)]))[run]
+
+
+Segment = Tuple[int, int, int]  # (start, end, label): positions start..end-1 hold label
+
+
+class _Scan:
+    """One sequence's parameter-free structures, built once and scanned per setting."""
+
+    def __init__(self, y: np.ndarray):
+        n = self.n = len(y)
+        self.labels: List[int] = y.tolist()
+        self.run_end: List[int] = _runs(y)[1].tolist()
+        # a stable sort lists every label's positions in ascending order, one
+        # group per label; position i sits at rank[i] and its group ends at group_end[i]
+        order = np.argsort(y, kind="stable")
+        group, group_end = _runs(y[order])
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n)
+        self.positions: List[int] = order.tolist()
+        self.rank: List[int] = rank.tolist()
+        self.group_end: List[int] = group_end[rank].tolist()
+        # keys (group, position) ascend along the sorted list: the number of keys
+        # below (group of i, stop), less rank[i], counts y[i]'s label in y[i:stop]
+        offset = group * (n + 1)
+        self._keys = offset + order
+        self._offset = offset[rank]
+        self._rank = rank
+        self._known = y != UNKNOWN
+
+    def starts(self, sigma_s: float, t_s: int) -> List[int]:
+        """The positions where the start test passes, ascending."""
+        n = self.n
+        i = np.arange(n)
+        stop = np.minimum(i + min(t_s, n), n)
+        count = np.searchsorted(self._keys, self._offset + stop) - self._rank
+        return np.flatnonzero(self._known & (count / (stop - i) >= sigma_s)).tolist()
+
+    def segments(self, starts: List[int], sigma_e: float, t_e: int) -> List[Segment]:
+        """The steps the correction opens, in order; positions outside them are UNKNOWN."""
+        labels, run_end, positions, n = self.labels, self.run_end, self.positions, self.n
+        out: List[Segment] = []
+        i = s = 0
+        while True:
+            s = bisect_left(starts, i, s)
+            if s == len(starts):
+                return out
+            begin = i = starts[s]
+            step = labels[i]
+            k, k_end = self.rank[i], self.group_end[i]
+            while True:
+                # y[i] holds the step (positions[k] == i): through its run the
+                # window of length one keeps the step open
+                end = run_end[i]
+                k += end - i
+                i = end
+                if i == n:
+                    break
+                # the step label's share of y[i .. p] peaks where y[p] holds it,
+                # so the end test only visits the step's own positions in the window
+                last = i + t_e
+                j = k
+                while j < k_end and positions[j] <= last:
+                    if (j - k + 1) / (positions[j] - i + 1) >= sigma_e:
+                        break
+                    j += 1
+                else:
+                    break  # closed: the start test runs at this same position
+                # the same window, shortened from the left, passes at every
+                # position up to the step label's next one
+                i = positions[k]
+            out.append((begin, i, step))
+
+    def corrected(self, starts: List[int], sigma_e: float, t_e: int) -> np.ndarray:
+        """The corrected labels: the segments' labels, UNKNOWN elsewhere."""
+        out = np.full(self.n, UNKNOWN, dtype=np.int64)
+        for begin, end, label in self.segments(starts, sigma_e, t_e):
+            out[begin:end] = label
+        return out
 
 
 def correct_labels(y, params: HlcParams = HlcParams()) -> LabelSequence:
     """Rewrite a predicted sequence into steps; off-step positions become UNKNOWN."""
-    labels = _labels_of(y)
     timestep = y.timestep if isinstance(y, LabelSequence) else DEFAULT_TIMESTEP
-    total = len(labels)
-    positions: Dict[int, List[int]] = {}
-    for i, v in enumerate(labels):
-        positions.setdefault(v, []).append(i)
-    out: List[int] = []
-    step = UNKNOWN
-    for i, current in enumerate(labels):
-        if step != UNKNOWN:
-            # the step label's share of y[i .. p] peaks where y[p] holds it,
-            # so the end test only needs the step's own positions in the window
-            pos = positions[step]
-            last = min(i + params.t_e, total - 1)
-            first = j = bisect_left(pos, i)
-            while j < len(pos) and pos[j] <= last:
-                if (j - first + 1) / (pos[j] - i + 1) >= params.sigma_e:
-                    break
-                j += 1
-            else:
-                step = UNKNOWN  # closed: the start test runs at this same position
-        if step == UNKNOWN and current != UNKNOWN:
-            pos = positions[current]
-            stop = min(i + params.t_s, total)
-            first = bisect_left(pos, i)
-            if (bisect_left(pos, stop, first) - first) / (stop - i) >= params.sigma_s:
-                step = current
-        out.append(step)
-    return LabelSequence(tuple(out), timestep)
+    scan = _Scan(_label_array(y, "y"))
+    out = scan.corrected(scan.starts(params.sigma_s, params.t_s), params.sigma_e, params.t_e)
+    return LabelSequence(tuple(out.tolist()), timestep)
 
 
 def sweep_params(y, truth, grid: Iterable[HlcParams]) -> List[Tuple[HlcParams, float]]:
-    """Correction accuracy against the truth for every parameter combination."""
-    labels = _labels_of(y)
-    truth_labels = _labels_of(truth)
-    if len(labels) != len(truth_labels):
-        raise DomainError(f"sequence lengths differ: {len(labels)} vs {len(truth_labels)}")
+    """Correction accuracy against the truth for every parameter combination.
+
+    The accuracy is `labels.accuracy`'s: the share of exact matches, where
+    UNKNOWN matches only UNKNOWN.
+    """
+    y = _label_array(y, "y")
+    truth = _label_array(truth, "truth")
+    if len(y) != len(truth):
+        raise DomainError(f"sequence lengths differ: {len(y)} vs {len(truth)}")
+    scan = _Scan(y)
+    starts = {}
     rows = []
     for params in grid:
-        corrected = correct_labels(labels, params)
-        rows.append((params, accuracy(corrected.labels, truth_labels)))
+        key = (params.sigma_s, params.t_s)
+        if key not in starts:
+            starts[key] = scan.starts(*key)
+        out = scan.corrected(starts[key], params.sigma_e, params.t_e)
+        rows.append((params, float(np.count_nonzero(out == truth)) / scan.n))
     return rows
 
 
@@ -140,7 +255,7 @@ def param_grid(sigma_s_values, t_s_values, sigma_e_values, t_e_values) -> List[H
 
 def write_label_sequence(path, seq) -> None:
     """CSV with header t,label_index; t is 1-based, UNKNOWN encodes as -1."""
-    labels = _labels_of(seq)
+    labels = _label_array(seq, "labels").tolist()
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "label_index"])

@@ -12,9 +12,10 @@ p[k] + 3 p[k+1] and output 2k+1 is 3 p[k+1] + p[k+2], both over 4.  The two
 axis passes build 16 times the bilinear value as an exact uint16 sum s of at
 most 16 * 255, and (s + 8) >> 4 is the float path's half-up rounding of
 s / 16, so the bytes equal `bilinear_resize` to twice the size (the tests
-hold it to that) at a quarter of the memory per value.  Its input must be
-8-bit: values that are not integers in [0, 255] raise DomainError instead of
-being clamped.
+hold it to that) at a quarter of the memory per value.
+
+Both resamplers take 8-bit input: values that are not integers in [0, 255]
+(NaN and infinities included) raise DomainError instead of being clamped.
 """
 
 from __future__ import annotations
@@ -56,13 +57,15 @@ def bilinear_resize(image, out_h: int, out_w: int) -> np.ndarray:
     if out_h < 1 or out_w < 1:
         raise DomainError("output dimensions must be >= 1")
     img, batched = check_image(image)
+    img = _as_uint8(img)
     r0, r1, tr = _axis_taps(img.shape[1], out_h)
     c0, c1, tc = _axis_taps(img.shape[2], out_w)
     tc = tc[None, None, :, None]
     cols = img[:, :, c0] * (1 - tc) + img[:, :, c1] * tc
     tr = tr[None, :, None, None]
     out = cols[:, r0] * (1 - tr) + cols[:, r1] * tr
-    out = np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)
+    # blends of 8-bit values stay within [0, 255], so the rounding needs no clamp
+    out = np.floor(out + 0.5).astype(np.uint8)
     return out if batched else out[0]
 
 

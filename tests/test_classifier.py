@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -358,6 +363,40 @@ def _tiny_model(layout, seed=0):
         p_grid=1,
         seed=seed,
     )
+
+
+def test_predict_images_does_not_import_numpy_ma():
+    # numpy 2.4 imports numpy.ma on the first np.unique call, about 16 ms that
+    # every attack process would pay; prediction must not be what imports it
+    code = textwrap.dedent(
+        """
+        import sys
+        import numpy as np
+        from facelight.classifier import MlpHead, TwoTierModel, predict_images
+        from facelight.features import FeatureParams, feature_length
+        from facelight.labels import LabelLayout
+
+        layout = LabelLayout((3, 2))
+        rng = np.random.default_rng(0)
+        dim = feature_length(1)
+        model = TwoTierModel(
+            layout, FeatureParams.from_seed(0), MlpHead.init(dim, 2, rng),
+            [MlpHead.init(dim, c, rng) for c in layout.counts], 8, 1, 0,
+        )
+        images = rng.integers(0, 256, size=(12, 6, 6, 3), dtype=np.uint8)
+        before = "numpy.ma" in sys.modules
+        predict_images(model, images)
+        print(before, "numpy.ma" in sys.modules)
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()
+    if before == "True":
+        pytest.skip("this numpy imports numpy.ma eagerly")
+    assert after == "False"
 
 
 def test_forced_category_routes_to_its_predictor():

@@ -126,6 +126,61 @@ def test_one_pass_matches_loop_on_noisy_steps():
         assert correct_labels(y, params).labels == oracle_hlc.correct_labels(y, params).labels
 
 
+def _oracle_rows(y, truth, grid):
+    return [(params, accuracy(oracle_hlc.correct_labels(y, params).labels, truth)) for params in grid]
+
+
+@given(
+    st.integers(1, 120).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.integers(-1, 4), min_size=n, max_size=n),
+            st.lists(st.integers(-1, 4), min_size=n, max_size=n),
+        )
+    ),
+    st.lists(st.sampled_from(ORACLE_GRID), min_size=1, max_size=8),
+)
+@settings(max_examples=300, deadline=None)
+def test_sweep_matches_loop_and_accuracy(sequences, grid):
+    # truth holds UNKNOWN too, which matches only a corrected UNKNOWN
+    y, truth = sequences
+    assert sweep_params(y, truth, grid) == _oracle_rows(y, truth, grid)
+
+
+def _sparse_noise(rng, n):
+    # long runs with rare single flips: the scan spends most of a step skipping runs
+    y = []
+    while len(y) < n:
+        y += [int(rng.integers(0, 5))] * int(rng.integers(20, 80))
+    return [int(rng.integers(-1, 5)) if rng.random() < 0.03 else v for v in y[:n]]
+
+
+def _dense_noise(rng, n):
+    # short runs and frequent flips: the end test runs at most positions
+    y = []
+    while len(y) < n:
+        y += [int(rng.integers(-1, 3))] * int(rng.integers(1, 6))
+    return [int(rng.integers(-1, 5)) if rng.random() < 0.4 else v for v in y[:n]]
+
+
+@pytest.mark.parametrize("make", [_sparse_noise, _dense_noise], ids=["sparse", "dense"])
+def test_sweep_and_correction_match_loop_on_noise(make):
+    grid = param_grid([0.5, 0.9], [1, 4, 25], [0.1, 0.5], [0, 1, 3, 30])
+    rng = np.random.default_rng(23)
+    for _ in range(3):
+        y = make(rng, 200)
+        truth = make(rng, 200)
+        rows = sweep_params(y, truth, grid)
+        assert rows == _oracle_rows(y, truth, grid)
+        for params in grid[::5]:
+            assert correct_labels(y, params).labels == oracle_hlc.correct_labels(y, params).labels
+
+
+def test_sweep_matches_loop_on_long_sparse_sequence():
+    y = _sparse_noise(np.random.default_rng(5), 1200)
+    grid = [HlcParams(0.9, 10, 0.1, 0), HlcParams(0.6, 5, 0.5, 0), DEFAULTS, HlcParams(0.5, 30, 0.05, 40)]
+    assert sweep_params(y, y, grid) == _oracle_rows(y, y, grid)
+
+
 def test_forty_thousand_labels_within_five_seconds():
     rng = np.random.default_rng(0)
     truth = [label for label in range(29) for _ in range(1380)][:40000]
@@ -271,6 +326,53 @@ def test_sweep_perfect_sequence_tops_grid():
 def test_sweep_length_mismatch():
     with pytest.raises(DomainError):
         sweep_params([A] * 3, [A] * 4, [DEFAULTS])
+
+
+BAD_LABELS = [
+    ([-5] + [A] * 12, "-5"),
+    ([-5] * 20, "-5"),
+    ([A] * 5 + [1.5] + [A] * 5, "1.5"),
+    ([A, math.nan, A], "nan"),
+    ([A, math.inf], "inf"),
+    ([A, "1", A], "1"),
+    ([A, None], "None"),
+    (np.array([0.0, 2.5]), "2.5"),
+    (np.array([[A, B], [B, A]]), "shape"),
+    ([], "at least one label"),
+]
+
+
+@pytest.mark.parametrize("bad, shown", BAD_LABELS)
+def test_correct_labels_rejects_bad_labels_at_entry(bad, shown):
+    with pytest.raises(DomainError, match=rf"^y: .*{shown}"):
+        correct_labels(bad, DEFAULTS)
+
+
+@pytest.mark.parametrize("bad, shown", BAD_LABELS)
+@pytest.mark.parametrize("argument", ["y", "truth"])
+def test_sweep_rejects_bad_labels_at_entry(bad, shown, argument):
+    good = [A] * max(len(bad), 1)
+    y, truth = (bad, good) if argument == "y" else (good, bad)
+    with pytest.raises(DomainError, match=rf"^{argument}: .*{shown}"):
+        sweep_params(y, truth, [DEFAULTS])
+
+
+@pytest.mark.parametrize(
+    "good", [[A, B, UNKNOWN], (2, 2), np.array([1, 0, -1]), np.array([1.0, 0.0]), [np.int64(3), True]]
+)
+def test_integer_labels_of_any_type_accepted(good):
+    values = [int(v) for v in good]
+    want = oracle_hlc.correct_labels(values, DEFAULTS).labels
+    assert correct_labels(good, DEFAULTS).labels == want
+    assert correct_labels(iter(good), DEFAULTS).labels == want
+    assert sweep_params(good, good, [DEFAULTS]) == [(DEFAULTS, accuracy(want, values))]
+
+
+def test_label_sequence_rejects_non_integers():
+    with pytest.raises(DomainError, match="1.5"):
+        LabelSequence((A, 1.5))
+    with pytest.raises(DomainError, match="-2"):
+        LabelSequence((A, -2))
 
 
 def test_sequence_csv_round_trip(tmp_path):

@@ -66,6 +66,30 @@ def test_upscale_rejects_values_outside_8bit(bad):
         upscale2x(img)
 
 
+@pytest.mark.parametrize("bad", [300, 256, -1, 1.5, np.nan, np.inf])
+@pytest.mark.parametrize(
+    "resample",
+    [lambda im: resize(im, 4), lambda im: bilinear_resize(im, 3, 5)],
+    ids=["resize", "bilinear_resize"],
+)
+def test_resize_rejects_values_outside_8bit(resample, bad):
+    # clamping used to turn 300 into 255 and NaN into 0 with only a cast warning
+    img = np.full((2, 3, 3), 7.0)
+    img[1, 2, 0] = bad
+    with pytest.raises(DomainError, match=r"integers in \[0, 255\]"):
+        resample(img)
+    with pytest.raises(DomainError, match=r"integers in \[0, 255\]"):
+        resample(img[None])
+
+
+def test_resize_accepts_8bit_values_of_any_dtype():
+    img = np.random.default_rng(2).integers(0, 256, size=(2, 5, 4, 3))
+    want = bilinear_resize(img.astype(np.uint8), 7, 3)
+    assert want.dtype == np.uint8
+    assert np.array_equal(bilinear_resize(img, 7, 3), want)
+    assert np.array_equal(bilinear_resize(img.astype(float), 7, 3), want)
+
+
 def test_resize_identity():
     rng = np.random.default_rng(0)
     img = rng.integers(0, 256, size=(9, 9, 3), dtype=np.uint8)
