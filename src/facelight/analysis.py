@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check
 from .ppm import require_image
 from .scene import Scene, face_screen_weights, quantize, render_linear, resolve_exposure
 
@@ -119,8 +119,7 @@ def probe_content(rows: int, cols: int, fraction: float) -> np.ndarray:
     sqrt(fraction)); its column count is forced even so red and blue always
     get equal areas split at the patch middle.
     """
-    if not 0.0 < fraction <= 1.0:
-        raise DomainError(f"area fraction must lie in (0, 1], got {fraction}")
+    check("mdc.fractions", [fraction])
     content = np.zeros((rows, cols, 3), dtype=np.uint8)
     scale = np.sqrt(fraction)
     ph = max(1, int(round(rows * scale)))
@@ -160,29 +159,20 @@ def mdc_search(
     probe the test cannot distinguish from a dark screen; None if every
     fraction is distinguishable.
     """
-    fractions = [float(f) for f in fractions]
-    if not fractions:
-        raise DomainError("the MDC search needs at least one area fraction")
-    for f in fractions:
-        if not 0.0 < f <= 1.0:
-            raise DomainError(f"area fraction must lie in (0, 1], got {f}")
+    fractions = check("mdc.fractions", [float(f) for f in fractions])
+    check("screen.radiance_scale", radiance_scale)
     if thresholds is None:
         thresholds = default_ratio_sweep()
-    screen = scene_template.screen
     weights = face_screen_weights(scene_template)
 
-    full = screen.with_radiance(
-        probe_content(screen.rows, screen.cols, 1.0).astype(float) / 255.0 * radiance_scale
-    )
-    anchor_scene = _with_screen(scene_template, full)
-    exposure = resolve_exposure(anchor_scene, render_linear(anchor_scene, weights))
+    def linear(fraction):
+        content = probe_content(scene_template.screen.rows, scene_template.screen.cols, fraction)
+        return render_linear(scene_template, weights, content.astype(float) / 255.0 * radiance_scale)
 
+    exposure = resolve_exposure(scene_template, linear(1.0))
     min_ps = []
     for idx, fraction in enumerate(fractions):
-        content = probe_content(screen.rows, screen.cols, fraction)
-        rad = content.astype(float) / 255.0 * radiance_scale
-        scn = _with_screen(scene_template, screen.with_radiance(rad))
-        image = quantize(exposure * render_linear(scn, weights))
+        image = quantize(exposure * linear(fraction))
         rng = np.random.default_rng([seed, idx])
         noisy = add_pixel_noise(image, noise_sigma, rng)
         left, right = half_ratio_samples(noisy)
@@ -201,10 +191,6 @@ def mdc_search(
         if p >= P_SIGNIFICANT:
             boundary = f
     return MdcResult(tuple(fractions), tuple(min_ps), boundary)
-
-
-def _with_screen(scene: Scene, screen) -> Scene:
-    return Scene(screen, scene.face, scene.camera, scene.optics, scene.exposure)
 
 
 def write_mdc_csv(path, result: MdcResult) -> None:

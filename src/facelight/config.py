@@ -12,7 +12,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import List, Optional, Tuple, Union
 
-from .errors import DomainError
+from .errors import DomainError, check_section
 from .hlc import HlcParams
 from .labels import LabelLayout
 from .optics import OpticsConfig
@@ -32,14 +32,7 @@ class ScreenSection:
     radiance_scale: float = 100.0
 
     def __post_init__(self):
-        for name in ("rows", "cols"):
-            if getattr(self, name) < 1:
-                raise DomainError(f"screen.{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("width", "height"):
-            if not getattr(self, name) > 0.0:
-                raise DomainError(f"screen.{name} must be > 0, got {getattr(self, name)}")
-        if not self.radiance_scale >= 0.0:
-            raise DomainError(f"screen.radiance_scale must be >= 0, got {self.radiance_scale}")
+        check_section(self, "screen")
 
 
 @dataclass
@@ -55,18 +48,7 @@ class FaceSection:
     patch_degrees: float = 80.0
 
     def __post_init__(self):
-        for name in ("rows", "cols"):
-            if getattr(self, name) < 2:
-                raise DomainError(f"face.{name} must be >= 2, got {getattr(self, name)}")
-        for name in ("k_d", "k_s", "k_a"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise DomainError(f"face.{name} must lie in [0, 1], got {getattr(self, name)}")
-        if not self.n_s >= 1.0:
-            raise DomainError(f"face.n_s must be >= 1, got {self.n_s}")
-        if not all(v > 0.0 for v in self.semi_axes):
-            raise DomainError(f"face.semi_axes must be > 0, got {list(self.semi_axes)}")
-        if not 0.0 < self.patch_degrees <= 90.0:
-            raise DomainError(f"face.patch_degrees must lie in (0, 90], got {self.patch_degrees}")
+        check_section(self, "face")
 
 
 @dataclass
@@ -75,10 +57,7 @@ class OpticsSection:
     ambient: Tuple[float, float, float] = (6.0, 6.0, 6.0)
 
     def __post_init__(self):
-        if not self.g >= 0.0:
-            raise DomainError(f"optics.g must be >= 0, got {self.g}")
-        if not all(v >= 0.0 for v in self.ambient):
-            raise DomainError(f"optics.ambient must be >= 0 in every channel, got {list(self.ambient)}")
+        check_section(self, "optics")
 
 
 @dataclass
@@ -87,9 +66,7 @@ class NoiseSection:
     ambient_jitter: float = 0.0  # per-frame uniform scale in [1 - j, 1 + j]
 
     def __post_init__(self):
-        for name in ("pixel_sigma", "ambient_jitter"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise DomainError(f"noise.{name} must lie in [0, 1], got {getattr(self, name)}")
+        check_section(self, "noise")
 
 
 @dataclass
@@ -99,11 +76,7 @@ class TrainSection:
     learning_rate: float = 1e-4
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size"):
-            if getattr(self, name) < 1:
-                raise DomainError(f"train.{name} must be >= 1, got {getattr(self, name)}")
-        if not self.learning_rate > 0:
-            raise DomainError(f"train.learning_rate must be > 0, got {self.learning_rate}")
+        check_section(self, "train")
 
 
 @dataclass
@@ -128,9 +101,12 @@ class WeightSimSection:
     )
 
     def __post_init__(self):
-        for i, (_, _, nx, ny) in enumerate(self.points):
+        check_section(self, "weight_sim")
+        for i, (_, y, nx, ny) in enumerate(self.points):
             if not math.hypot(nx, ny) > 0.0:
                 raise DomainError(f"weight_sim.points[{i}] needs a non-zero normal, got ({nx}, {ny})")
+            if y == 0.0:
+                raise DomainError(f"weight_sim.points[{i}] needs y != 0 (off the screen line), got {y}")
 
 
 @dataclass
@@ -138,8 +114,7 @@ class MdcSection:
     fractions: List[float] = field(default_factory=lambda: [1 / 64, 1 / 25, 1 / 16, 1 / 4, 1.0])
 
     def __post_init__(self):
-        if not self.fractions:
-            raise DomainError("mdc.fractions must not be empty")
+        check_section(self, "mdc")
 
 
 def default_categories() -> List[CategorySection]:
@@ -174,12 +149,7 @@ class ExperimentConfig:
     mdc: MdcSection = field(default_factory=MdcSection)
 
     def __post_init__(self):
-        if self.seed is not None and self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
-        if self.frames_per_app < 1:
-            raise DomainError(f"frames_per_app must be >= 1, got {self.frames_per_app}")
-        if not 0 < self.delta < math.inf:
-            raise DomainError(f"delta must be finite and > 0, got {self.delta}")
+        check_section(self)
         if not 1 <= self.p_grid <= self.l_size:
             raise DomainError(f"p_grid must lie in [1, l_size = {self.l_size}], got {self.p_grid}")
 

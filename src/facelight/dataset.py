@@ -22,7 +22,7 @@ import numpy as np
 
 from .analysis import add_pixel_noise
 from .config import ExperimentConfig
-from .errors import DomainError
+from .errors import DomainError, check
 from .labels import split_label
 from .ppm import read_ppm, write_ppm
 from .scene import face_screen_weights, quantize, resolve_exposure
@@ -46,8 +46,8 @@ def app_palette(category: int, app: int, rows: int, cols: int, seed: int) -> np.
     later erases global color casts, so identity has to live in per-channel
     spatial structure.
     """
-    if rows < 1 or cols < 1:
-        raise DomainError("palette size must be >= 1x1")
+    check("screen.rows", rows)
+    check("screen.cols", cols)
     hue = (seed % 97) / 97.0 + (category * 11 + app) * _GOLDEN
     c1 = _hsv255(hue)
     c2 = _hsv255(hue + 0.35)

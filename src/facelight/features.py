@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check
 from .preprocess import check_image, preprocess
 
 CHANNELS = 3
@@ -248,8 +248,7 @@ def block_frames(l_size: int, height: int, width: int) -> int:
     float64 tensors, the resize column pass's (2H, L, 3) float64 and
     `upscale2x`'s (2H, 2W, 3) uint16 sums; a block holds about BLOCK_BYTES of it.
     """
-    if l_size < 1:
-        raise DomainError(f"target size must be >= 1, got {l_size}")
+    check("l_size", l_size)
     per_frame = CHANNELS * max(8 * l_size * l_size, 8 * 2 * height * l_size, 2 * 2 * height * 2 * width)
     return max(1, BLOCK_BYTES // per_frame)
 

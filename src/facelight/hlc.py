@@ -42,14 +42,13 @@ but integers >= UNKNOWN raises DomainError naming the argument.
 from __future__ import annotations
 
 import csv
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check
 from .labels import UNKNOWN
 
 DEFAULT_TIMESTEP = 0.5
@@ -100,8 +99,7 @@ class LabelSequence:
 
     def __post_init__(self):
         labels = tuple(_label_array(self.labels, "label sequence").tolist())
-        if not 0 < self.timestep < math.inf:
-            raise DomainError(f"timestep must be finite and > 0, got {self.timestep}")
+        check("delta", self.timestep)
         object.__setattr__(self, "labels", labels)
 
     def __len__(self) -> int:

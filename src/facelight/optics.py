@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, GeometryError
+from .errors import DomainError, GeometryError, check
 
 # Defaults for the emitter falloff exponent and the shininess exponent.
 DEFAULT_G = 30.0
@@ -101,12 +101,8 @@ class FacePoint:
     def __post_init__(self):
         object.__setattr__(self, "position", vec3(self.position))
         object.__setattr__(self, "normal", _require_unit(self.normal, "face normal"))
-        for name in ("k_d", "k_s", "k_a"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise DomainError(f"{name} must lie in [0, 1], got {v}")
-        if self.n_s < 1.0:
-            raise DomainError(f"shininess exponent must be >= 1, got {self.n_s}")
+        for name in ("k_d", "k_s", "k_a", "n_s"):
+            check(f"face.{name}", getattr(self, name))
 
 
 def _default_ambient() -> np.ndarray:
@@ -121,13 +117,8 @@ class OpticsConfig:
     ambient: np.ndarray = field(default_factory=_default_ambient)
 
     def __post_init__(self):
-        object.__setattr__(self, "ambient", vec3(self.ambient))
-        if self.g < 0:
-            raise DomainError(f"angular-distribution exponent must be >= 0, got {self.g}")
-        if np.any(self.ambient < 0):
-            raise DomainError("ambient intensity components must be >= 0")
-
-
+        check("optics.g", self.g)
+        object.__setattr__(self, "ambient", check("optics.ambient", vec3(self.ambient)))
 
 
 def reflection_cosines(face_pos, face_nrm, emitter_pos, screen_normal, camera):

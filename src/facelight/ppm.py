@@ -7,18 +7,24 @@ import numpy as np
 from .errors import DomainError
 
 
+def as_uint8(img: np.ndarray) -> np.ndarray:
+    """8-bit image data as uint8; values that are not integers in [0, 255] raise DomainError."""
+    if img.dtype == np.uint8:
+        return img
+    # NaN fails every comparison, so it is rejected too
+    if not np.all((img >= 0) & (img <= 255) & (np.floor(img) == img)):
+        raise DomainError("image values must be integers in [0, 255]")
+    return img.astype(np.uint8)
+
+
 def require_image(img) -> np.ndarray:
-    """Validate an (H, W, 3) uint8 image array."""
+    """Validate an (H, W, 3) 8-bit image; returns it as uint8."""
     img = np.asarray(img)
     if img.ndim != 3 or img.shape[2] != 3:
         raise DomainError(f"expected an (H, W, 3) image, got shape {img.shape}")
     if img.size == 0:
         raise DomainError("image is empty")
-    if img.dtype != np.uint8:
-        if np.any(img < 0) or np.any(img > 255):
-            raise DomainError("image values must lie in [0, 255]")
-        img = img.astype(np.uint8)
-    return img
+    return as_uint8(img)
 
 
 def write_ppm(path, img) -> None:

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check
+from .ppm import as_uint8
 
 
 def check_image(img) -> tuple[np.ndarray, bool]:
@@ -57,7 +58,7 @@ def bilinear_resize(image, out_h: int, out_w: int) -> np.ndarray:
     if out_h < 1 or out_w < 1:
         raise DomainError("output dimensions must be >= 1")
     img, batched = check_image(image)
-    img = _as_uint8(img)
+    img = as_uint8(img)
     r0, r1, tr = _axis_taps(img.shape[1], out_h)
     c0, c1, tc = _axis_taps(img.shape[2], out_w)
     tc = tc[None, None, :, None]
@@ -69,22 +70,13 @@ def bilinear_resize(image, out_h: int, out_w: int) -> np.ndarray:
     return out if batched else out[0]
 
 
-def _as_uint8(img: np.ndarray) -> np.ndarray:
-    if img.dtype == np.uint8:
-        return img
-    # NaN fails every comparison, so it is rejected too
-    if not np.all((img >= 0) & (img <= 255) & (np.floor(img) == img)):
-        raise DomainError("image values must be integers in [0, 255]")
-    return img.astype(np.uint8)
-
-
 def upscale2x(image) -> np.ndarray:
     """Double both image dimensions (stand-in for learned super-resolution).
 
     Exact integer form of `bilinear_resize` to (2H, 2W); see the module notes.
     """
     img, batched = check_image(image)
-    img = _as_uint8(img)
+    img = as_uint8(img)
     n, h, w, c = img.shape
     p = np.empty((n, h, w + 2, c), dtype=np.uint16)  # edge-padded columns
     p[:, :, 1:-1] = img
@@ -109,8 +101,7 @@ def upscale2x(image) -> np.ndarray:
 
 def resize(image, l_size: int) -> np.ndarray:
     """Resample to a square l_size x l_size image."""
-    if l_size < 1:
-        raise DomainError(f"target size must be >= 1, got {l_size}")
+    check("l_size", l_size)
     return bilinear_resize(image, l_size, l_size)
 
 

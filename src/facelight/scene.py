@@ -22,7 +22,7 @@ from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DomainError, GeometryError
+from .errors import DomainError, GeometryError, check
 from .optics import OpticsConfig, reflection_cosines, unit, vec3
 from .ppm import require_image
 
@@ -52,10 +52,14 @@ class ScreenModel:
     origin: np.ndarray
 
     def __post_init__(self):
+        check("screen.width", self.width)
+        check("screen.height", self.height)
         pos = np.asarray(self.positions, dtype=float)
         rad = np.asarray(self.radiance, dtype=float)
-        if pos.ndim != 3 or pos.shape[2] != 3 or pos.shape[0] < 1 or pos.shape[1] < 1:
+        if pos.ndim != 3 or pos.shape[2] != 3:
             raise DomainError(f"positions must be (rows, cols, 3), got {pos.shape}")
+        check("screen.rows", pos.shape[0])
+        check("screen.cols", pos.shape[1])
         if rad.shape != pos.shape:
             raise DomainError("radiance grid must match the position grid")
         if np.any(rad < 0):
@@ -74,8 +78,6 @@ class ScreenModel:
         object.__setattr__(self, "radiance", rad)
         object.__setattr__(self, "normal", n)
         object.__setattr__(self, "origin", origin)
-        if self.width <= 0 or self.height <= 0:
-            raise DomainError("screen physical dimensions must be > 0")
 
     @property
     def rows(self) -> int:
@@ -84,10 +86,6 @@ class ScreenModel:
     @property
     def cols(self) -> int:
         return self.positions.shape[1]
-
-    def with_radiance(self, radiance: np.ndarray) -> "ScreenModel":
-        """Same geometry, new per-unit radiance grid."""
-        return ScreenModel(self.positions, radiance, self.normal, self.width, self.height, self.origin)
 
 
 def _cell_means(content: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -127,15 +125,12 @@ def screen_from_image(
     """
     content = require_image(content)
     width, height = physical
-    rows, cols = grid
-    if rows < 1 or cols < 1:
-        raise DomainError("screen grid must be at least 1x1")
+    rows, cols = check("screen.rows", grid[0]), check("screen.cols", grid[1])
     if rows > content.shape[0] or cols > content.shape[1]:
         raise DomainError(
             f"grid {rows}x{cols} exceeds content resolution {content.shape[0]}x{content.shape[1]}"
         )
-    if radiance_scale < 0:
-        raise DomainError("radiance_scale must be >= 0")
+    check("screen.radiance_scale", radiance_scale)
     radiance = _cell_means(content.astype(float), rows, cols) / 255.0 * radiance_scale
     positions = screen_grid_positions(rows, cols, width, height, origin, normal)
     return ScreenModel(positions, radiance, unit(normal), float(width), float(height), vec3(origin))
@@ -157,8 +152,12 @@ class FaceModel:
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float)
         nrm = np.asarray(self.normals, dtype=float)
-        if pos.ndim != 3 or pos.shape[2] != 3 or pos.shape[0] < 2 or pos.shape[1] < 2:
-            raise DomainError(f"face grid must be at least 2x2, got {pos.shape}")
+        if pos.ndim != 3 or pos.shape[2] != 3:
+            raise DomainError(f"face positions must be (rows, cols, 3), got {pos.shape}")
+        check("face.rows", pos.shape[0])
+        check("face.cols", pos.shape[1])
+        for name in ("k_d", "k_s", "k_a", "n_s"):
+            check(f"face.{name}", getattr(self, name))
         if nrm.shape != pos.shape:
             raise DomainError("normal grid must match the position grid")
         norms = np.linalg.norm(nrm, axis=2)
@@ -189,14 +188,9 @@ def build_face(
     elevation (rows, +y -> -y, so row 0 is the top of the face).  Normals are
     the analytic outward ellipsoid gradients, normalized.
     """
-    a, b, c = (float(s) for s in semi_axes)
-    if min(a, b, c) <= 0:
-        raise DomainError(f"semi-axes must be > 0, got {semi_axes}")
-    rows, cols = grid
-    if rows < 2 or cols < 2:
-        raise DomainError("face grid must be at least 2x2")
-    if not 0 < patch_degrees <= 90:
-        raise DomainError("patch_degrees must lie in (0, 90]")
+    a, b, c = (float(s) for s in check("face.semi_axes", semi_axes))
+    rows, cols = check("face.rows", grid[0]), check("face.cols", grid[1])
+    check("face.patch_degrees", patch_degrees)
     center = vec3(center)
     ext = np.deg2rad(patch_degrees)
     beta = np.linspace(ext, -ext, rows)  # elevation, top row first
@@ -223,11 +217,7 @@ class Scene:
 
     def __post_init__(self):
         object.__setattr__(self, "camera", vec3(self.camera))
-        if isinstance(self.exposure, str):
-            if self.exposure != "auto":
-                raise DomainError(f"exposure must be a positive number or 'auto', got {self.exposure!r}")
-        elif self.exposure <= 0:
-            raise DomainError(f"exposure must be > 0, got {self.exposure}")
+        check("exposure", self.exposure)
         rel = (self.camera - self.face.center) / np.asarray(self.face.semi_axes)
         if float(rel @ rel) <= 1.0:
             raise GeometryError("camera lies inside the face ellipsoid")
@@ -260,12 +250,12 @@ def face_screen_weights(scene: Scene) -> np.ndarray:
     return falloff * (face.k_d * cos_r + face.k_s * cos_m**face.n_s)
 
 
-def render_linear(scene: Scene, weights: np.ndarray = None) -> np.ndarray:
-    """Un-exposed linear intensity per face grid point, shape (U, V, 3)."""
+def render_linear(scene: Scene, weights: np.ndarray = None, radiance: np.ndarray = None) -> np.ndarray:
+    """Un-exposed linear intensity per face grid point, shape (U, V, 3), under `radiance` or the screen's own."""
     if weights is None:
         weights = face_screen_weights(scene)
-    rad = scene.screen.radiance.reshape(-1, 3)
-    linear = weights @ rad + scene.face.k_a * scene.optics.ambient
+    radiance = scene.screen.radiance if radiance is None else radiance
+    linear = weights @ radiance.reshape(-1, 3) + scene.face.k_a * scene.optics.ambient
     u, v = scene.face.grid_shape
     return linear.reshape(u, v, 3)
 
@@ -324,8 +314,9 @@ def simulate_weight_curves(
     curve of (G_d, G_s) per point, sampled at every screen unit.
     """
     xs = np.asarray(unit_xs, dtype=float)
-    if xs.ndim != 1 or xs.size < 2:
-        raise DomainError("need at least two screen units")
+    if xs.ndim != 1:
+        raise DomainError(f"screen unit positions must be 1-D, got shape {xs.shape}")
+    check("weight_sim.units", xs.size)
     screen_n = np.array([0.0, 1.0, 0.0])
     cam = np.array([float(camera_x), 0.0, 0.0])
     epos = np.stack([xs, np.zeros_like(xs), np.zeros_like(xs)], axis=1)
@@ -334,8 +325,7 @@ def simulate_weight_curves(
         p = _pad3(pos)
         if p[1] == 0.0:
             raise GeometryError("face point lies on the screen line")
-        n = _pad3(nrm)
-        n = n / np.linalg.norm(n)
+        n = unit(_pad3(nrm))
         cosines = reflection_cosines(p[None], n[None], epos, screen_n, cam)
         cos_e, cos_r, cos_m = (c[0] for c in cosines[:3])
         w = cos_e**g * cos_e * cos_e

@@ -441,6 +441,10 @@ def test_mdc_zero_denominator_one_error_line(tmp_path, tiny_config, capsys):
         ("screen", "radiance_scale", -1, "screen.radiance_scale must be >= 0, got -1"),
         ("face", "semi_axes", [0.08, 0.0, 0.09], "face.semi_axes must be > 0"),
         ("face", "patch_degrees", 400, "face.patch_degrees must lie in (0, 90], got 400"),
+        ("mdc", "fractions", [2.0], "mdc.fractions must be a non-empty list of values in (0, 1], got [2.0]"),
+        (None, "exposure", -1, "exposure must be > 0 or 'auto', got -1"),
+        ("weight_sim", "units", 1, "weight_sim.units must be >= 2, got 1"),
+        ("weight_sim", "points", [[0.0, 0.0, 0.0, -1.0]], "weight_sim.points[0] needs y != 0"),
     ],
 )
 def test_bad_config_value_one_error_line(tmp_path, capsys, section, key, value, named):
