@@ -26,11 +26,9 @@ from .scene import (
     simulate_weight_curves,
 )
 from .analysis import (
-    KsResult,
     MdcResult,
     ks_pvalue,
     ks_statistic,
-    ks_test,
     mdc_search,
 )
 from .preprocess import preprocess, resize, upscale2x, znorm

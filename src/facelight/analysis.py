@@ -22,14 +22,6 @@ from .scene import Scene, face_screen_weights, quantize, render_linear, resolve_
 P_SIGNIFICANT = 0.05
 
 
-@dataclass(frozen=True)
-class KsResult:
-    d: float
-    p: float
-    n: int
-    m: int
-
-
 def ks_statistic(x, y) -> float:
     """Two-sample KS statistic: sup over values of |ECDF_x - ECDF_y|."""
     x = np.sort(np.asarray(x, dtype=float))
@@ -71,11 +63,6 @@ def ks_pvalue(d: float, n: int, m: int) -> float:
     else:
         return 1.0
     return float(min(max(2.0 * total, 0.0), 1.0))
-
-
-def ks_test(x, y) -> KsResult:
-    d = ks_statistic(x, y)
-    return KsResult(d, ks_pvalue(d, len(x), len(y)), len(x), len(y))
 
 
 def half_ratio_samples(image) -> Tuple[np.ndarray, np.ndarray]:

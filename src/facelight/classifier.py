@@ -13,19 +13,21 @@ all of Adam's elementwise passes over one L2-sized block of a parameter
 before the next, in the whole-array update's evaluation order, so the
 trained weights and the loss log keep the same bits.
 
-A model file is one JSON document: the layout, the seeds and the grid sizes
-as plain JSON values, and every float array as {"shape": [...], "f8": base64
-of its little-endian float64 bytes}, so the weights round-trip bit-exactly.
-Loading checks each key's type, each array's shape against the layout and
-the pooling grid, and that every weight is finite.
+A model file is laid out like a PPM: one ASCII line of JSON header (kind,
+seed, grid sizes, label layout), then the raw little-endian float64 weights
+of the discriminator and of each predictor in category order, each head's
+arrays in `_PARAM_NAMES` order and C order.  Shapes follow from the layout,
+`p_grid` and `HIDDEN`, and the frozen extractor is `FeatureParams.from_seed`
+of the seed, so neither is stored.  Loading checks the header, that the
+weight bytes number exactly what it implies, and that every weight is
+finite; it reads each array straight into its own C-contiguous buffer.
 """
 
 from __future__ import annotations
 
-import base64
-import binascii
 import json
 import math
+import os
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -40,6 +42,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 PROB_FLOOR = 1e-12
+MODEL_KIND = "facelight-two-tier-2"  # an earlier version's files say "facelight-two-tier"
 
 
 def softmax(logits) -> np.ndarray:
@@ -315,20 +318,16 @@ def predict_images(model: TwoTierModel, images) -> np.ndarray:
     return predict_features(model, feats)
 
 
-def encode_array(arr) -> dict:
-    """A float array as a JSON object: its shape and base64 of its little-endian float64 bytes."""
-    arr = np.asarray(arr, dtype="<f8")
-    return {"shape": list(arr.shape), "f8": base64.b64encode(arr.tobytes()).decode("ascii")}
-
-
-def _encode_arrays(obj, names) -> dict:
-    return {name: encode_array(getattr(obj, name)) for name in names}
-
-
 def save_model(model: TwoTierModel, path) -> None:
-    fp = model.feature_params
-    doc = {
-        "kind": "facelight-two-tier",
+    """Write `model` as one JSON header line, then its raw little-endian float64 weights."""
+    reference = FeatureParams.from_seed(model.seed)
+    if any(getattr(model.feature_params, n).tobytes() != getattr(reference, n).tobytes() for n in PARAM_SHAPES):
+        raise DomainError(
+            f"a model file stores only the feature seed, so feature_params must be "
+            f"FeatureParams.from_seed({model.seed})"
+        )
+    header = {
+        "kind": MODEL_KIND,
         "seed": model.seed,
         "l_size": model.l_size,
         "p_grid": model.p_grid,
@@ -337,12 +336,12 @@ def save_model(model: TwoTierModel, path) -> None:
             "category_names": list(model.layout.category_names or []) or None,
             "app_names": [list(a) for a in model.layout.app_names] if model.layout.app_names else None,
         },
-        "feature_params": {**_encode_arrays(fp, PARAM_SHAPES), "seed": fp.seed},
-        "discriminator": _encode_arrays(model.discriminator, _PARAM_NAMES),
-        "predictors": [_encode_arrays(p, _PARAM_NAMES) for p in model.predictors],
     }
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(json.dumps(doc))  # json.dump would take the pure-Python encoder
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header).encode("ascii") + b"\n")
+        for head in [model.discriminator, *model.predictors]:
+            for name in _PARAM_NAMES:
+                fh.write(np.asarray(getattr(head, name), dtype="<f8").tobytes())
 
 
 def _field(doc, key: str, kind: type, where: str):
@@ -355,48 +354,21 @@ def _field(doc, key: str, kind: type, where: str):
     return value
 
 
-def decode_array(doc: dict, key: str, shape: Tuple[int, ...], where: str) -> np.ndarray:
-    """The `encode_array` object at doc[key], checked to hold finite floats of `shape`."""
-    if isinstance(doc.get(key), list):
-        raise DomainError(
-            f"{where}: key '{key}' is a list; list-form model files from earlier versions must be retrained"
-        )
-    value = _field(doc, key, dict, where)
-    data = value.get("f8")
-    if not isinstance(data, str):
-        raise DomainError(f"{where}: key '{key}' needs an 'f8' string, got {type(data).__name__}")
-    if value.get("shape") != list(shape):
-        raise DomainError(f"{where}: key '{key}' has shape {value.get('shape')}, expected {list(shape)}")
-    try:
-        raw = base64.b64decode(data, validate=True)
-    except binascii.Error as exc:
-        raise DomainError(f"{where}: key '{key}' is not valid base64 ({exc})") from exc
-    if len(raw) != 8 * math.prod(shape):
-        raise DomainError(f"{where}: key '{key}' holds {len(raw)} bytes, expected {8 * math.prod(shape)}")
-    arr = np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{where}: key '{key}' holds non-finite values")
-    return arr
-
-
-def _decode_arrays(doc: dict, shapes: dict, where: str) -> Dict[str, np.ndarray]:
-    return {name: decode_array(doc, name, shape, where) for name, shape in shapes.items()}
-
-
-def _head_from_doc(head, in_dim: int, out_dim: int, where: str) -> MlpHead:
-    if not isinstance(head, dict):
-        raise DomainError(f"{where} must be an object, got {type(head).__name__}")
-    return MlpHead(**_decode_arrays(head, _head_shapes(in_dim, out_dim), where))
-
-
 def load_model(path) -> TwoTierModel:
-    """Read a `save_model` file; any malformed key raises a DomainError naming the file and the key."""
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # not JSON, or not ASCII
-            raise DomainError(f"{path}: not a JSON model file ({exc})") from exc
-    if not isinstance(doc, dict) or doc.get("kind") != "facelight-two-tier":
+    """Read a `save_model` file; malformed input raises a DomainError naming the file."""
+    with open(path, "rb") as fh:
+        return _read_model(fh, path)
+
+
+def _read_model(fh, path) -> TwoTierModel:
+    try:
+        doc = json.loads(fh.readline().decode("ascii"))
+    except ValueError as exc:  # not JSON, or not ASCII
+        raise DomainError(f"{path}: not a model file, its first line is not a JSON header ({exc})") from exc
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if kind == "facelight-two-tier":
+        raise DomainError(f"{path}: a model file from an earlier version ({kind}); it must be retrained")
+    if kind != MODEL_KIND:
         raise DomainError(f"{path}: not a two-tier model file")
     lay = _field(doc, "layout", dict, path)
     where = f"{path}: layout"
@@ -419,25 +391,21 @@ def load_model(path) -> TwoTierModel:
     p_grid = _field(doc, "p_grid", int, path)
     if not 1 <= p_grid <= l_size:
         raise DomainError(f"{path}: key 'p_grid' must lie in [1, l_size = {l_size}], got {p_grid}")
-    fp = _field(doc, "feature_params", dict, path)
-    where = f"{path}: feature_params"
-    feature_params = FeatureParams(**_decode_arrays(fp, PARAM_SHAPES, where), seed=_field(fp, "seed", int, where))
-    predictors = _field(doc, "predictors", list, path)
-    if len(predictors) != layout.num_categories:
-        raise DomainError(
-            f"{path}: key 'predictors' holds {len(predictors)} heads for {layout.num_categories} categories"
-        )
-    dim = feature_length(p_grid)
-    return TwoTierModel(
-        layout=layout,
-        feature_params=feature_params,
-        discriminator=_head_from_doc(
-            _field(doc, "discriminator", dict, path), dim, layout.num_categories, f"{path}: discriminator"
-        ),
-        predictors=[
-            _head_from_doc(p, dim, layout.counts[i], f"{path}: predictors[{i}]") for i, p in enumerate(predictors)
-        ],
-        l_size=l_size,
-        p_grid=p_grid,
-        seed=_field(doc, "seed", int, path),
-    )
+    seed = _field(doc, "seed", int, path)
+    if seed < 0:
+        raise DomainError(f"{path}: key 'seed' must be >= 0, got {seed}")
+    shapes = [_head_shapes(feature_length(p_grid), n) for n in (layout.num_categories, *layout.counts)]
+    expected = 8 * sum(math.prod(shape) for head in shapes for shape in head.values())
+    size = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size != expected:
+        raise DomainError(f"{path}: holds {size} weight bytes, the header's layout needs {expected}")
+    heads = []
+    for head in shapes:
+        arrays = {name: np.empty(shape, dtype="<f8") for name, shape in head.items()}
+        for arr in arrays.values():  # each array its own C-contiguous buffer, read in place
+            if fh.readinto(arr) != arr.nbytes:  # the file shrank after the size check
+                raise DomainError(f"{path}: ended inside the weights")
+            if not np.all(np.isfinite(arr)):
+                raise DomainError(f"{path}: holds non-finite weights")
+        heads.append(MlpHead(**arrays))
+    return TwoTierModel(layout, FeatureParams.from_seed(seed), heads[0], heads[1:], l_size, p_grid, seed)

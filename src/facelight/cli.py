@@ -145,7 +145,7 @@ def cmd_run_all(args) -> int:
     dataset.write_dataset(data, os.path.join(args.out, "dataset"))
     result = pipeline.run_attack(cfg, data)
     _write_model(
-        result.model, result.log, os.path.join(args.out, "model.json"), os.path.join(args.out, "losses.csv")
+        result.model, result.log, os.path.join(args.out, "model.bin"), os.path.join(args.out, "losses.csv")
     )
     hlc.write_label_sequence(os.path.join(args.out, "predicted.csv"), result.raw)
     hlc.write_label_sequence(os.path.join(args.out, "corrected.csv"), result.corrected)

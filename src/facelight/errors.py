@@ -30,6 +30,8 @@ def _at_least(low):
 
 _POSITIVE = ("be > 0", lambda v: v > 0)
 _UNIT_INTERVAL = ("lie in [0, 1]", lambda v: 0 <= v <= 1)
+_FINITE = ("be finite", math.isfinite)
+_FINITE_VECTOR = ("be finite", lambda v: all(map(math.isfinite, v)))
 
 # config key -> (phrase after "must", predicate)
 RANGES = {
@@ -38,11 +40,15 @@ RANGES = {
     "delta": ("be finite and > 0", lambda v: 0 < v < math.inf),
     "l_size": _at_least(1),
     "exposure": ("be > 0 or 'auto'", lambda v: v == "auto" if isinstance(v, str) else v > 0),
+    "camera": _FINITE_VECTOR,
+    "screen.center": _FINITE_VECTOR,
+    "screen.normal": _FINITE_VECTOR,
     "screen.rows": _at_least(1),
     "screen.cols": _at_least(1),
     "screen.width": _POSITIVE,
     "screen.height": _POSITIVE,
     "screen.radiance_scale": _at_least(0),
+    "face.center": _FINITE_VECTOR,
     "face.rows": _at_least(2),
     "face.cols": _at_least(2),
     "face.k_d": _UNIT_INTERVAL,
@@ -58,7 +64,15 @@ RANGES = {
     "train.epochs": _at_least(1),
     "train.batch_size": _at_least(1),
     "train.learning_rate": _POSITIVE,
+    "hlc.sigma_s": ("lie in [0.5, 1)", lambda v: 0.5 <= v < 1),
+    "hlc.t_s": _at_least(1),
+    "hlc.sigma_e": ("lie in (0, 0.5]", lambda v: 0 < v <= 0.5),
+    "hlc.t_e": _at_least(0),
+    "weight_sim.x_min": _FINITE,
+    "weight_sim.x_max": _FINITE,
     "weight_sim.units": _at_least(2),
+    "weight_sim.camera_x": _FINITE,
+    "weight_sim.points": ("be finite", lambda v: all(math.isfinite(x) for point in v for x in point)),
     "mdc.fractions": ("be a non-empty list of values in (0, 1]", lambda v: len(v) > 0 and all(0 < f <= 1 for f in v)),
 }
 
@@ -67,7 +81,10 @@ def check(key: str, value):
     """`value` if it lies in the range of config key `key`; DomainError naming the key otherwise."""
     phrase, ok = RANGES[key]
     if not ok(value):
-        shown = repr(value) if isinstance(value, str) else np.asarray(value).tolist()
+        try:
+            shown = repr(value) if isinstance(value, str) else np.asarray(value).tolist()
+        except ValueError:  # a ragged list, such as weight-curve points of mixed dimension
+            shown = value
         raise DomainError(f"{key} must {phrase}, got {shown}")
     return value
 

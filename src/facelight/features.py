@@ -53,7 +53,6 @@ from .errors import DomainError, check
 from .preprocess import check_image, preprocess
 
 CHANNELS = 3
-SPATIAL_KERNEL = 7
 WEIGHT_STD = 0.1
 BLOCK_BYTES = 512 * 1024  # the largest array a stage makes for one block; fits a per-core L2
 MAX_THREADS = 4  # feature threads per call, the calling thread included
@@ -69,7 +68,7 @@ PARAM_SHAPES = {
 
 @dataclass(frozen=True)
 class FeatureParams:
-    """All frozen extractor weights, reproducible from `seed`."""
+    """All frozen extractor weights; `from_seed` draws them reproducibly."""
 
     conv1: np.ndarray  # (3, 3, 3, 3) out, in, kh, kw
     conv2: np.ndarray
@@ -85,7 +84,6 @@ class FeatureParams:
     mlp_w2: np.ndarray
     mlp_b2: np.ndarray
     spatial: np.ndarray  # (1, 2, 7, 7)
-    seed: int = 0
 
     def __post_init__(self):
         for name, shape in PARAM_SHAPES.items():
@@ -109,7 +107,6 @@ class FeatureParams:
             mlp_w1=draw(3, 3), mlp_b1=np.zeros(3),
             mlp_w2=draw(3, 3), mlp_b2=np.zeros(3),
             spatial=draw(1, 2, 7, 7),
-            seed=seed,
         )
 
 

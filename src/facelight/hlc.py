@@ -48,7 +48,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, check
+from .errors import DomainError, check, check_section
 from .labels import UNKNOWN
 
 DEFAULT_TIMESTEP = 0.5
@@ -116,14 +116,7 @@ class HlcParams:
     t_e: int = 10
 
     def __post_init__(self):
-        if not 0.5 <= self.sigma_s < 1.0:
-            raise DomainError(f"sigma_s must lie in [0.5, 1), got {self.sigma_s}")
-        if self.t_s < 1:
-            raise DomainError(f"T_s must be >= 1, got {self.t_s}")
-        if not 0.0 < self.sigma_e <= 0.5:
-            raise DomainError(f"sigma_e must lie in (0, 0.5], got {self.sigma_e}")
-        if self.t_e < 0:
-            raise DomainError(f"T_e must be >= 0, got {self.t_e}")
+        check_section(self, "hlc")
 
 
 def _runs(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -64,8 +64,8 @@ class ScreenModel:
             raise DomainError("radiance grid must match the position grid")
         if np.any(rad < 0):
             raise DomainError("unit radiance must be >= 0")
-        n = unit(self.normal)
-        origin = vec3(self.origin)
+        n = unit(check("screen.normal", vec3(self.normal)))
+        origin = check("screen.center", vec3(self.origin))
         off = (pos - origin) @ n
         if np.max(np.abs(off)) > _COPLANAR_TOL:
             raise GeometryError("screen units are not coplanar")
@@ -124,6 +124,7 @@ def screen_from_image(
     the screen, column 0 to its left edge (as seen looking along -normal).
     """
     content = require_image(content)
+    origin, normal = check("screen.center", vec3(origin)), check("screen.normal", vec3(normal))
     width, height = physical
     rows, cols = check("screen.rows", grid[0]), check("screen.cols", grid[1])
     if rows > content.shape[0] or cols > content.shape[1]:
@@ -165,7 +166,7 @@ class FaceModel:
             raise DomainError("face normals must be unit-norm")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "normals", nrm)
-        object.__setattr__(self, "center", vec3(self.center))
+        object.__setattr__(self, "center", check("face.center", vec3(self.center)))
 
     @property
     def grid_shape(self) -> Tuple[int, int]:
@@ -191,7 +192,7 @@ def build_face(
     a, b, c = (float(s) for s in check("face.semi_axes", semi_axes))
     rows, cols = check("face.rows", grid[0]), check("face.cols", grid[1])
     check("face.patch_degrees", patch_degrees)
-    center = vec3(center)
+    center = check("face.center", vec3(center))
     ext = np.deg2rad(patch_degrees)
     beta = np.linspace(ext, -ext, rows)  # elevation, top row first
     alpha = np.linspace(-ext, ext, cols)  # azimuth, -x first
@@ -216,7 +217,7 @@ class Scene:
     exposure: Union[float, str] = "auto"
 
     def __post_init__(self):
-        object.__setattr__(self, "camera", vec3(self.camera))
+        object.__setattr__(self, "camera", check("camera", vec3(self.camera)))
         check("exposure", self.exposure)
         rel = (self.camera - self.face.center) / np.asarray(self.face.semi_axes)
         if float(rel @ rel) <= 1.0:
@@ -317,6 +318,10 @@ def simulate_weight_curves(
     if xs.ndim != 1:
         raise DomainError(f"screen unit positions must be 1-D, got shape {xs.shape}")
     check("weight_sim.units", xs.size)
+    if not np.all(np.isfinite(xs)):
+        raise DomainError("screen unit positions must be finite")
+    check("weight_sim.camera_x", camera_x)
+    check("weight_sim.points", [np.ravel(pos).tolist() + np.ravel(nrm).tolist() for pos, nrm in points])
     screen_n = np.array([0.0, 1.0, 0.0])
     cam = np.array([float(camera_x), 0.0, 0.0])
     epos = np.stack([xs, np.zeros_like(xs), np.zeros_like(xs)], axis=1)

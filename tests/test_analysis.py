@@ -10,7 +10,6 @@ from facelight.analysis import (
     half_ratio_samples,
     ks_pvalue,
     ks_statistic,
-    ks_test,
     mdc_search,
     probe_content,
     write_mdc_csv,
@@ -95,13 +94,6 @@ def test_pvalue_strictly_decreasing_in_d():
     ps = [ks_pvalue(d, 30, 25) for d in ds]
     clipped = [p for p in ps if 1e-300 < p < 1.0]
     assert all(a > b for a, b in zip(clipped, clipped[1:]))
-
-
-def test_ks_test_bundles_sizes():
-    res = ks_test([1.0, 2.0], [1.5, 2.5, 3.5])
-    assert (res.n, res.m) == (2, 3)
-    assert 0.0 <= res.d <= 1.0
-    assert 0.0 <= res.p <= 1.0
 
 
 # --- half samples and MDC --------------------------------------------------

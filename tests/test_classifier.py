@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from oracle_nets import AdamState, adam_step, cross_entropy, one_hot, train_two_tier_reference
 
@@ -19,8 +18,6 @@ from facelight.classifier import (
     MlpHead,
     TwoTierModel,
     adam_update,
-    decode_array,
-    encode_array,
     load_model,
     predict_features,
     save_model,
@@ -451,18 +448,68 @@ _F8 = np.finfo(np.float64)
 _EDGE_FLOATS = st.sampled_from([0.0, -0.0, _F8.smallest_subnormal, -_F8.smallest_subnormal, _F8.tiny, _F8.max, -_F8.max])
 
 
-@settings(max_examples=200, deadline=None)
-@given(hnp.arrays(
-    np.float64,
-    hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=6),
-    elements=st.floats(allow_nan=False, allow_infinity=False) | _EDGE_FLOATS,
-))
-def test_array_encoding_round_trips_bit_exactly(arr):
-    doc = {"a": encode_array(arr)}
-    back = decode_array(doc, "a", arr.shape, "test")
-    assert back.shape == arr.shape and back.dtype == np.float64
-    assert back.tobytes() == arr.tobytes()  # -0.0 and subnormals keep their bits
-    assert back.flags.writeable
+# (array index, flat index, value) edits of a model's head weights
+_WEIGHT_EDITS = st.lists(
+    st.tuples(st.integers(0, 10**6), st.integers(0, 10**6), st.floats(allow_nan=False, allow_infinity=False) | _EDGE_FLOATS),
+    min_size=1,
+    max_size=30,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_WEIGHT_EDITS)
+def test_array_encoding_round_trips_bit_exactly(tmp_path_factory, edits):
+    model = _tiny_model(LabelLayout((2, 3)), seed=1)
+    heads = [model.discriminator, *model.predictors]
+    arrays = [arr for head in heads for arr in head.params().values()]
+    for which, index, value in edits:
+        arr = arrays[which % len(arrays)]
+        arr.flat[index % arr.size] = value
+    path = tmp_path_factory.mktemp("model") / "model.bin"
+    save_model(model, path)
+    back = load_model(path)
+    for got, want in zip([back.discriminator, *back.predictors], heads, strict=True):
+        for name, arr in got.params().items():
+            assert arr.dtype == np.float64 and arr.flags.c_contiguous and arr.flags.writeable
+            assert arr.tobytes() == getattr(want, name).tobytes(), name  # -0.0 and subnormals keep their bits
+
+
+def _default_model(seed=2):
+    """The default layout's 7 heads at p_grid 4 (D = 54)."""
+    dim = feature_length(4)
+    rng = np.random.default_rng(seed)
+    return TwoTierModel(
+        layout=TABLE_LAYOUT,
+        feature_params=FeatureParams.from_seed(seed),
+        discriminator=MlpHead.init(dim, TABLE_LAYOUT.num_categories, rng),
+        predictors=[MlpHead.init(dim, c, rng) for c in TABLE_LAYOUT.counts],
+        l_size=64,
+        p_grid=4,
+        seed=seed,
+    )
+
+
+def test_loaded_default_model_gives_identical_probabilities(tmp_path):
+    model = _default_model()
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    back = load_model(path)
+    feats = np.random.default_rng(4).normal(size=(300, feature_length(4)))
+    for got, want in zip([back.discriminator, *back.predictors], [model.discriminator, *model.predictors], strict=True):
+        assert got.forward(feats).tobytes() == want.forward(feats).tobytes()
+    assert np.array_equal(predict_features(back, feats), predict_features(model, feats))
+    assert back.layout == model.layout and (back.l_size, back.p_grid, back.seed) == (64, 4, 2)
+    for name in ("conv1", "spatial"):
+        assert np.array_equal(getattr(back.feature_params, name), getattr(model.feature_params, name))
+
+
+def test_save_model_rejects_feature_params_not_from_the_seed(tmp_path):
+    model = _tiny_model(LabelLayout((2, 3)), seed=1)
+    model.feature_params = FeatureParams.from_seed(2)
+    path = tmp_path / "model.bin"
+    with pytest.raises(DomainError, match=r"feature_params must be FeatureParams\.from_seed\(1\)"):
+        save_model(model, path)
+    assert not path.exists()
 
 
 def test_trained_model_saves_identical_bytes(tmp_path):
@@ -478,8 +525,7 @@ def test_trained_model_saves_identical_bytes(tmp_path):
 
 def test_load_model_memory_is_a_few_times_the_weights(tmp_path):
     # the default layout's 7 heads at D = 54: 1.1 M parameters, 8.9 MB of float64.
-    # Loading peaks near 2.7x the weights (file text, base64 strings, arrays);
-    # a file of float lists peaked near 6.8x (a Python float per weight).
+    # Loading peaks near 1.0x the weights: each array is read straight into its own buffer.
     layout = TABLE_LAYOUT
     dim = feature_length(4)
     rng = np.random.default_rng(2)

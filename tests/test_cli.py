@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from facelight import analysis, scene
+from facelight.classifier import load_model
 from facelight.cli import main
 from facelight.config import config_from_dict
 from facelight.dataset import read_split
-from facelight.features import feature_length
+from facelight.features import PARAM_SHAPES
 
 TINY = {
     "seed": 11,
@@ -167,67 +168,109 @@ def _assert_one_error_line(capsys, code, expected=1):
     return lines[0]
 
 
-def _array(shape, value=0.0):
-    """An array object as model files store it, filled with `value`."""
-    data = np.full(shape, value, dtype="<f8").tobytes()
-    return {"shape": list(shape), "f8": base64.b64encode(data).decode("ascii")}
+HEAD_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
 
 
-def _as_lists(node):
-    """The document as earlier versions wrote it: every array a nested list."""
-    if isinstance(node, dict) and "f8" in node:
-        return np.frombuffer(base64.b64decode(node["f8"]), "<f8").reshape(node["shape"]).tolist()
-    if isinstance(node, dict):
-        return {key: _as_lists(value) for key, value in node.items()}
-    if isinstance(node, list):
-        return [_as_lists(value) for value in node]
-    return node
+def _model_parts(path):
+    """(header dict, weight bytes) of a model file."""
+    line, weights = Path(path).read_bytes().split(b"\n", 1)
+    return json.loads(line), weights
+
+
+def _earlier_version(path, as_lists):
+    """The model as earlier versions wrote it: one JSON document with its feature
+    arrays, each array base64 of its float64 bytes or a nested list."""
+    model = load_model(path)
+
+    def arrays(obj, names):
+        out = {}
+        for name in names:
+            arr = np.asarray(getattr(obj, name), "<f8")
+            out[name] = arr.tolist() if as_lists else {
+                "shape": list(arr.shape), "f8": base64.b64encode(arr.tobytes()).decode("ascii"),
+            }
+        return out
+
+    header, _ = _model_parts(path)
+    return json.dumps({
+        **header,
+        "kind": "facelight-two-tier",
+        "feature_params": {**arrays(model.feature_params, PARAM_SHAPES), "seed": model.seed},
+        "discriminator": arrays(model.discriminator, HEAD_NAMES),
+        "predictors": [arrays(p, HEAD_NAMES) for p in model.predictors],
+    }).encode("ascii")
 
 
 @pytest.mark.parametrize(
     "path, value, named",
     [
-        (None, None, "'layout'"),  # the bare {"kind": ...} document
+        (None, None, "'layout'"),  # a bare {"kind": ...} header
         (("l_size",), "32", "'l_size'"),
         (("layout", "counts"), None, "'counts'"),
-        (("feature_params", "spatial"), None, "'spatial'"),
-        (("discriminator",), [], "'discriminator'"),
-        (("predictors", 1, "w2"), None, "predictors[1]: missing key 'w2'"),
-        (("discriminator", "w1", "f8"), "not base64!", "discriminator: key 'w1' is not valid base64"),
-        (("predictors", 0, "b2", "f8"), "AAAAAAAAAAA=", "predictors[0]: key 'b2' holds 8 bytes"),
-        (("predictors", 0, "b2", "f8"), 7, "predictors[0]: key 'b2' needs an 'f8' string"),
-        (("discriminator", "w1"), _array((10, feature_length(TINY["p_grid"]))), "discriminator: key 'w1' has shape [10, 18]"),
-        (("discriminator", "b1"), _array((1, 1), 1.0), "discriminator: key 'b1' has shape [1, 1]"),
-        (("predictors", 1, "w3"), _array((2, 256), np.nan), "predictors[1]: key 'w3' holds non-finite"),
-        (("feature_params", "spatial"), _array((1, 2, 7, 7), np.inf), "key 'spatial' holds non-finite"),
+        (("layout",), {"counts": [2, 3]}, "holds 3397680 weight bytes, the header's layout needs 3399736"),
         (("p_grid",), TINY["l_size"] + 1, "key 'p_grid' must lie in [1, l_size = 16]"),
         (("p_grid",), 0, "key 'p_grid' must lie in [1, l_size = 16]"),
-        (("predictors", 1), None, "key 'predictors' holds 1 heads for 2 categories"),
+        (("seed",), -1, "key 'seed' must be >= 0, got -1"),
+        (("kind",), "facelight-model", "not a two-tier model file"),
     ],
 )
 def test_attack_malformed_model_one_error_line(pipeline, tmp_path, capsys, path, value, named):
-    doc = json.loads(pipeline["model"].read_text())
+    header, weights = _model_parts(pipeline["model"])
     if path is None:
-        doc = {"kind": doc["kind"]}
+        header = {"kind": header["kind"]}
     else:
-        parent = doc
+        parent = header
         for key in path[:-1]:
             parent = parent[key]
         if value is None:
             del parent[path[-1]]
         else:
             parent[path[-1]] = value
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(json.dumps(header).encode("ascii") + b"\n" + weights)
     line = _assert_one_error_line(capsys, run("attack", str(bad), str(pipeline["data"] / "test")))
     assert str(bad) in line and named in line
 
 
-def test_attack_list_form_model_one_error_line(pipeline, tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(_as_lists(json.loads(pipeline["model"].read_text()))))
+def _with_weight(data, index, value):
+    """Model file bytes `data` with weight number `index` (negative: from the end) set to `value`."""
+    start = data.index(b"\n") + 1 + 8 * index if index >= 0 else len(data) + 8 * index
+    return data[:start] + np.array([value], "<f8").tobytes() + data[start + 8 :]
+
+
+# (edit of a good model file's bytes, the words the error line must hold)
+BAD_MODEL_BYTES = {
+    "empty": (lambda data: b"", "first line is not a JSON header"),
+    "header-not-json": (lambda data: b"P6\n8 8\n255\n" + bytes(192), "first line is not a JSON header"),
+    "header-not-ascii": (lambda data: b"\xff" + data, "first line is not a JSON header"),
+    "weights-8-bytes-short": (lambda data: data[:-8], "holds 3397672 weight bytes, the header's layout needs 3397680"),
+    "weights-8-bytes-extra": (lambda data: data + bytes(8), "holds 3397688 weight bytes, the header's layout needs 3397680"),
+    "nan-weight": (lambda data: _with_weight(data, -100, np.nan), "holds non-finite weights"),
+    "inf-first-weight": (lambda data: _with_weight(data, 0, -np.inf), "holds non-finite weights"),
+}
+
+
+@pytest.mark.parametrize("edit, named", BAD_MODEL_BYTES.values(), ids=BAD_MODEL_BYTES.keys())
+def test_attack_malformed_model_bytes_one_error_line(pipeline, tmp_path, capsys, edit, named):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(edit(pipeline["model"].read_bytes()))
     line = _assert_one_error_line(capsys, run("attack", str(bad), str(pipeline["data"] / "test")))
-    assert f"{bad}: feature_params: key 'conv1' is a list; list-form model files" in line
+    assert str(bad) in line and named in line
+
+
+def _assert_earlier_version_rejected(pipeline, tmp_path, capsys, as_lists):
+    bad = tmp_path / "old.json"
+    bad.write_bytes(_earlier_version(pipeline["model"], as_lists))
+    line = _assert_one_error_line(capsys, run("attack", str(bad), str(pipeline["data"] / "test")))
+    assert line == f"error: {bad}: a model file from an earlier version (facelight-two-tier); it must be retrained"
+
+
+def test_attack_base64_model_one_error_line(pipeline, tmp_path, capsys):
+    _assert_earlier_version_rejected(pipeline, tmp_path, capsys, as_lists=False)
+
+
+def test_attack_list_form_model_one_error_line(pipeline, tmp_path, capsys):
+    _assert_earlier_version_rejected(pipeline, tmp_path, capsys, as_lists=True)
 
 
 @pytest.mark.parametrize(
@@ -378,7 +421,7 @@ def test_run_all_end_to_end(tmp_path, tiny_config, capsys):
     printed = capsys.readouterr().out
     assert "pre_hlc_accuracy " in printed
     assert "post_hlc_accuracy " in printed
-    for name in ("model.json", "losses.csv", "predicted.csv", "corrected.csv"):
+    for name in ("model.bin", "losses.csv", "predicted.csv", "corrected.csv"):
         assert (out / name).exists()
     assert (out / "dataset" / "train" / "manifest.csv").exists()
 
@@ -445,6 +488,18 @@ def test_mdc_zero_denominator_one_error_line(tmp_path, tiny_config, capsys):
         (None, "exposure", -1, "exposure must be > 0 or 'auto', got -1"),
         ("weight_sim", "units", 1, "weight_sim.units must be >= 2, got 1"),
         ("weight_sim", "points", [[0.0, 0.0, 0.0, -1.0]], "weight_sim.points[0] needs y != 0"),
+        ("hlc", "sigma_s", 0.4, "hlc.sigma_s must lie in [0.5, 1), got 0.4"),
+        ("hlc", "t_s", 0, "hlc.t_s must be >= 1, got 0"),
+        ("hlc", "sigma_e", 0.6, "hlc.sigma_e must lie in (0, 0.5], got 0.6"),
+        ("hlc", "t_e", -1, "hlc.t_e must be >= 0, got -1"),
+        ("screen", "center", [0.0, float("nan"), 0.0], "screen.center must be finite, got [0.0, nan, 0.0]"),
+        ("screen", "normal", [0.0, 0.0, float("inf")], "screen.normal must be finite, got [0.0, 0.0, inf]"),
+        ("face", "center", [float("nan"), 0.0, 0.45], "face.center must be finite, got [nan, 0.0, 0.45]"),
+        (None, "camera", [0.0, float("nan"), 0.02], "camera must be finite, got [0.0, nan, 0.02]"),
+        ("weight_sim", "x_min", float("nan"), "weight_sim.x_min must be finite, got nan"),
+        ("weight_sim", "x_max", float("inf"), "weight_sim.x_max must be finite, got inf"),
+        ("weight_sim", "camera_x", float("-inf"), "weight_sim.camera_x must be finite, got -inf"),
+        ("weight_sim", "points", [[0.0, float("nan"), 0.0, -1.0]], "weight_sim.points must be finite"),
     ],
 )
 def test_bad_config_value_one_error_line(tmp_path, capsys, section, key, value, named):
@@ -577,7 +632,7 @@ def test_run_all_equals_train_attack_hlc(run_all_noisy):
     model = root / "model.json"
     assert run("train", str(out / "dataset"), str(model), "--config", config,
                "--losses", str(root / "losses.csv")) == 0
-    assert model.read_bytes() == (out / "model.json").read_bytes()
+    assert model.read_bytes() == (out / "model.bin").read_bytes()
     assert (root / "losses.csv").read_bytes() == (out / "losses.csv").read_bytes()
     predicted = root / "predicted.csv"
     assert run("attack", str(model), str(out / "dataset" / "test"), "--out", str(predicted)) == 0

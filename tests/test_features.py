@@ -32,7 +32,7 @@ from facelight.features import (
 from facelight.preprocess import bilinear_resize, preprocess
 
 
-def zero_params(seed=0):
+def zero_params():
     z33 = np.zeros((3, 3, 3, 3))
     return FeatureParams(
         conv1=z33, conv2=z33, conv3=z33,
@@ -42,7 +42,6 @@ def zero_params(seed=0):
         mlp_w1=np.zeros((3, 3)), mlp_b1=np.zeros(3),
         mlp_w2=np.zeros((3, 3)), mlp_b2=np.zeros(3),
         spatial=np.zeros((1, 2, 7, 7)),
-        seed=seed,
     )
 
 

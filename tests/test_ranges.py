@@ -14,13 +14,14 @@ from facelight.config import ExperimentConfig, config_from_dict
 from facelight.dataset import app_palette
 from facelight.errors import RANGES, DomainError, GeometryError
 from facelight.features import block_frames
-from facelight.hlc import LabelSequence
+from facelight.hlc import HlcParams, LabelSequence, param_grid
 from facelight.optics import FacePoint, OpticsConfig
 from facelight.ppm import write_ppm
 from facelight.preprocess import resize
 from facelight.scene import FaceModel, Scene, ScreenModel, build_face, screen_from_image, simulate_weight_curves
 
 NAN = float("nan")
+INF = float("inf")
 CONTENT = np.zeros((4, 4, 3), dtype=np.uint8)
 GRID = np.zeros((2, 2, 3))
 NORMAL = (0.0, 0.0, 1.0)
@@ -45,6 +46,10 @@ def _face_point(**kwargs):
     return FacePoint((0, 0, 1), (0, 0, -1), **kwargs)
 
 
+def _weight_curves(camera_x=0.0, points=((0.0, 0.5, 0.0, -1.0),)):
+    return simulate_weight_curves(np.linspace(-0.3, 0.3, 5), [((p[0], p[1]), (p[2], p[3])) for p in points], camera_x)
+
+
 # (config key, out-of-range value, library calls that take the value)
 CASES = [
     ("seed", -1, []),
@@ -53,6 +58,15 @@ CASES = [
     ("delta", NAN, [lambda v: LabelSequence((0,), v)]),
     ("l_size", 0, [lambda v: resize(CONTENT, v), lambda v: block_frames(v, 4, 4)]),
     ("exposure", -1.0, [lambda v: _scene(exposure=v)]),
+    ("camera", [0.0, NAN, 0.02], [lambda v: Scene(_scene().screen, _scene().face, v)]),
+    ("screen.center", [0.0, INF, 0.0], [
+        lambda v: screen_from_image(CONTENT, (0.6, 0.34), (2, 2), v, NORMAL),
+        lambda v: ScreenModel(GRID, GRID, NORMAL, 0.6, 0.34, v),
+    ]),
+    ("screen.normal", [0.0, NAN, 1.0], [
+        lambda v: screen_from_image(CONTENT, (0.6, 0.34), (2, 2), (0, 0, 0), v),
+        lambda v: ScreenModel(GRID, GRID, v, 0.6, 0.34, (0, 0, 0)),
+    ]),
     ("screen.rows", 0, [
         lambda v: _screen(grid=(v, 2)),
         lambda v: ScreenModel(np.zeros((v, 2, 3)), np.zeros((v, 2, 3)), NORMAL, 0.6, 0.34, (0, 0, 0)),
@@ -68,6 +82,10 @@ CASES = [
     ("screen.radiance_scale", -1.0, [
         lambda v: _screen(scale=v),
         lambda v: mdc_search(_scene(), [1.0], radiance_scale=v),
+    ]),
+    ("face.center", [NAN, 0.0, 0.45], [
+        lambda v: build_face(v, (0.08, 0.10, 0.09), (4, 4)),
+        lambda v: FaceModel(FACE.positions, FACE.normals, v, FACE.semi_axes),
     ]),
     ("face.rows", 1, [
         lambda v: build_face((0, 0, 0.45), (0.08, 0.10, 0.09), (v, 4)),
@@ -99,7 +117,17 @@ CASES = [
     ("train.epochs", 0, []),
     ("train.batch_size", 0, []),
     ("train.learning_rate", 0.0, []),
+    ("hlc.sigma_s", 0.4, [lambda v: HlcParams(sigma_s=v), lambda v: param_grid([v], [10], [0.1], [10])]),
+    ("hlc.sigma_s", 1.0, [lambda v: HlcParams(sigma_s=v)]),
+    ("hlc.t_s", 0, [lambda v: HlcParams(t_s=v), lambda v: param_grid([0.9], [v], [0.1], [10])]),
+    ("hlc.sigma_e", 0.0, [lambda v: HlcParams(sigma_e=v)]),
+    ("hlc.sigma_e", NAN, [lambda v: HlcParams(sigma_e=v)]),
+    ("hlc.t_e", -1, [lambda v: HlcParams(t_e=v)]),
+    ("weight_sim.x_min", NAN, []),
+    ("weight_sim.x_max", INF, []),
     ("weight_sim.units", 1, [lambda v: simulate_weight_curves(np.linspace(-0.3, 0.3, v), [POINT], 0.0)]),
+    ("weight_sim.camera_x", -INF, [lambda v: _weight_curves(camera_x=v)]),
+    ("weight_sim.points", [[0.0, NAN, 0.0, -1.0]], [lambda v: _weight_curves(points=v)]),
     ("mdc.fractions", [], [lambda v: mdc_search(_scene(), v)]),
     ("mdc.fractions", [2.0], [lambda v: mdc_search(_scene(), v), lambda v: probe_content(4, 4, v[0])]),
 ]
@@ -163,6 +191,17 @@ def test_8bit_values_of_any_dtype_keep_their_bytes(tmp_path):
 
 
 # --- weight-curve points ---------------------------------------------------
+
+
+def test_non_finite_points_of_mixed_dimension_rejected():
+    points = [((0.0, 0.5), (0.0, -1.0)), ((0.0, NAN, 0.0), (0.0, -1.0, 0.0))]
+    with pytest.raises(DomainError, match=r"weight_sim\.points must be finite, got \[\[0\.0, 0\.5, 0\.0, -1\.0\], \[0\.0, nan"):
+        simulate_weight_curves(np.linspace(-0.3, 0.3, 5), points, 0.0)
+
+
+def test_non_finite_unit_positions_rejected():
+    with pytest.raises(DomainError, match="screen unit positions must be finite"):
+        simulate_weight_curves([-0.3, NAN, 0.3], [POINT], 0.0)
 
 
 def test_zero_length_normal_is_a_geometry_error():
