@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from facelight import analysis, scene
-from facelight.classifier import load_model
+from facelight.classifier import _head_shapes, load_model
 from facelight.cli import main
 from facelight.config import config_from_dict
 from facelight.dataset import read_split
-from facelight.features import PARAM_SHAPES
+from facelight.features import PARAM_SHAPES, feature_length
 
 TINY = {
     "seed": 11,
@@ -212,6 +212,10 @@ def _earlier_version(path, as_lists):
         (("p_grid",), 0, "key 'p_grid' must lie in [1, l_size = 16]"),
         (("seed",), -1, "key 'seed' must be >= 0, got -1"),
         (("kind",), "facelight-model", "not a two-tier model file"),
+        pytest.param(("p_grid",), 4, "holds 3397680 weight bytes, the header's layout needs 3840048",
+                     id="p_grid-4-w1-shape-differs"),
+        pytest.param(("layout",), {"counts": [2, 2, 2]}, "holds 3397680 weight bytes, the header's layout needs 4532296",
+                     id="layout-one-category-more"),
     ],
 )
 def test_attack_malformed_model_one_error_line(pipeline, tmp_path, capsys, path, value, named):
@@ -238,12 +242,28 @@ def _with_weight(data, index, value):
     return data[:start] + np.array([value], "<f8").tobytes() + data[start + 8 :]
 
 
+def _cut_array(data, head, name, keep=0):
+    """Model file bytes `data` with all but the first `keep` values of array `name`
+    of head number `head` (0 the discriminator) cut out; every head of the TINY model
+    has 2 outputs."""
+    shapes = _head_shapes(feature_length(TINY["p_grid"]), 2)
+    sizes = [int(np.prod(shape)) for shape in shapes.values()]
+    start = head * sum(sizes) + sum(sizes[: list(shapes).index(name)])
+    end = start + sizes[list(shapes).index(name)]
+    body = data.index(b"\n") + 1
+    return data[: body + 8 * (start + keep)] + data[body + 8 * end :]
+
+
 # (edit of a good model file's bytes, the words the error line must hold)
 BAD_MODEL_BYTES = {
     "empty": (lambda data: b"", "first line is not a JSON header"),
     "header-not-json": (lambda data: b"P6\n8 8\n255\n" + bytes(192), "first line is not a JSON header"),
     "header-not-ascii": (lambda data: b"\xff" + data, "first line is not a JSON header"),
     "weights-8-bytes-short": (lambda data: data[:-8], "holds 3397672 weight bytes, the header's layout needs 3397680"),
+    "discriminator-b1-one-value": (lambda data: _cut_array(data, 0, "b1", keep=1),
+                                   "holds 3393592 weight bytes, the header's layout needs 3397680"),
+    "predictor-1-w2-missing": (lambda data: _cut_array(data, 2, "w2"),
+                               "holds 2349104 weight bytes, the header's layout needs 3397680"),
     "weights-8-bytes-extra": (lambda data: data + bytes(8), "holds 3397688 weight bytes, the header's layout needs 3397680"),
     "nan-weight": (lambda data: _with_weight(data, -100, np.nan), "holds non-finite weights"),
     "inf-first-weight": (lambda data: _with_weight(data, 0, -np.inf), "holds non-finite weights"),
