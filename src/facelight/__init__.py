@@ -20,7 +20,6 @@ from .scene import (
     Scene,
     ScreenModel,
     WeightCurve,
-    build_face,
     render_face,
     screen_from_image,
     simulate_weight_curves,

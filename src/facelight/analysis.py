@@ -17,9 +17,10 @@ import numpy as np
 
 from .errors import DomainError, check
 from .ppm import require_image
-from .scene import Scene, face_screen_weights, quantize, render_linear, resolve_exposure
+from .scene import Scene, quantize, render_linear, resolve_exposure
 
 P_SIGNIFICANT = 0.05
+RATIO_THRESHOLDS = np.arange(1, 100) / 100.0  # blue-to-red thresholds 1% .. 99% in 1% steps
 
 
 def ks_statistic(x, y) -> float:
@@ -85,11 +86,6 @@ def half_ratio_samples(image) -> Tuple[np.ndarray, np.ndarray]:
     return halves[0], halves[1]
 
 
-def default_ratio_sweep() -> np.ndarray:
-    """Blue-to-red thresholds 1% .. 99% in 1% steps."""
-    return np.arange(1, 100) / 100.0
-
-
 @dataclass(frozen=True)
 class MdcResult:
     """Min p-value per probe fraction plus the largest statistically-quiet fraction."""
@@ -130,7 +126,6 @@ def add_pixel_noise(image, sigma: float, rng: np.random.Generator) -> np.ndarray
 def mdc_search(
     scene_template: Scene,
     fractions: Sequence[float],
-    thresholds: Optional[Sequence[float]] = None,
     seed: int = 0,
     noise_sigma: float = 0.05,
     radiance_scale: float = 100.0,
@@ -140,21 +135,18 @@ def mdc_search(
     For each fraction the probe content is rendered on the template scene
     (auto exposure is anchored once, on the full-screen probe, so shrinking
     the probe does not re-brighten the image), seeded pixel noise is applied,
-    and for every ratio threshold the left/right halves are compared with a
-    KS test on the thresholded ratio samples.  The reported `boundary` is the
-    largest fraction whose minimum p-value is still >= 0.05, i.e. the largest
-    probe the test cannot distinguish from a dark screen; None if every
-    fraction is distinguishable.
+    and for every ratio threshold in `RATIO_THRESHOLDS` the left/right halves
+    are compared with a KS test on the thresholded ratio samples.  The
+    reported `boundary` is the largest fraction whose minimum p-value is still
+    >= 0.05, i.e. the largest probe the test cannot distinguish from a dark
+    screen; None if every fraction is distinguishable.
     """
     fractions = check("mdc.fractions", [float(f) for f in fractions])
     check("screen.radiance_scale", radiance_scale)
-    if thresholds is None:
-        thresholds = default_ratio_sweep()
-    weights = face_screen_weights(scene_template)
 
     def linear(fraction):
         content = probe_content(scene_template.screen.rows, scene_template.screen.cols, fraction)
-        return render_linear(scene_template, weights, content.astype(float) / 255.0 * radiance_scale)
+        return render_linear(scene_template, content.astype(float) / 255.0 * radiance_scale)
 
     exposure = resolve_exposure(scene_template, linear(1.0))
     min_ps = []
@@ -166,7 +158,7 @@ def mdc_search(
         if left.size == 0 or right.size == 0:
             raise DomainError("face halves contain no usable pixels; raise ambient light")
         best = 1.0
-        for thr in thresholds:
+        for thr in RATIO_THRESHOLDS:
             x = (left > thr).astype(float)
             y = (right > thr).astype(float)
             d = ks_statistic(x, y)

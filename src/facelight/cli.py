@@ -59,6 +59,16 @@ def _read_labels(path, cfg: ExperimentConfig) -> hlc.LabelSequence:
     return seq
 
 
+def _read_split(directory, num_labels: int, whose: str):
+    """A split directory's frame records, whose labels all lie below `num_labels`."""
+    records = dataset.read_split(directory)
+    top = max(r.label for r in records)
+    if top >= num_labels:
+        manifest = os.path.join(directory, "manifest.csv")
+        raise DomainError(f"{manifest}: label {top} out of range for the {whose}'s {num_labels} labels")
+    return records
+
+
 def cmd_simulate_weights(args) -> int:
     curves = pipeline.weight_curves(_load_config(args))
     scene.write_weight_curves_csv(args.out, curves)
@@ -87,7 +97,8 @@ def _write_model(model, log, model_path, losses_path) -> None:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    model, log = pipeline.train(cfg, dataset.read_split(os.path.join(args.dataset_dir, "train")))
+    records = _read_split(os.path.join(args.dataset_dir, "train"), cfg.label_layout().num_labels, "config")
+    model, log = pipeline.train(cfg, records)
     _write_model(model, log, args.model_out, args.losses or args.model_out + ".losses.csv")
     print(f"trained heads {1 + len(model.predictors)} batches {len(log)}")
     return 0
@@ -96,11 +107,7 @@ def cmd_train(args) -> int:
 def cmd_attack(args) -> int:
     cfg = _load_config(args)
     model = classifier.load_model(args.model)
-    images, truth = dataset.images_and_labels(dataset.read_split(args.frames))
-    num_labels = model.layout.num_labels
-    if truth.max() >= num_labels:
-        manifest = os.path.join(args.frames, "manifest.csv")
-        raise DomainError(f"{manifest}: label {truth.max()} out of range for the model's {num_labels} labels")
+    images, truth = dataset.images_and_labels(_read_split(args.frames, model.layout.num_labels, "model"))
     raw, corrected = pipeline.eavesdrop(cfg, model, images)
     seq = corrected if args.use_hlc else raw
     if args.out:
@@ -113,6 +120,8 @@ def cmd_hlc(args) -> int:
     cfg = _load_config(args)
     seq = _read_labels(args.sequence, cfg)
     truth = _read_labels(args.truth, cfg) if args.truth else None
+    if truth is not None and len(truth.labels) != len(seq.labels):
+        raise DomainError(f"{args.truth}: expected {len(seq.labels)} labels like {args.sequence}, got {len(truth.labels)}")
     corrected = hlc.correct_labels(seq, cfg.hlc)
     hlc.write_label_sequence(args.out, corrected)
     if truth is not None:
@@ -130,12 +139,14 @@ def cmd_mdc(args) -> int:
 def eval_fraction(token: str) -> float:
     """Parse '1/16' or '0.0625' into a float."""
     token = token.strip()
-    if "/" in token:
-        num, den = token.split("/", 1)
-        if float(den) == 0.0:
-            raise DomainError(f"fraction {token!r} has a zero denominator")
-        return float(num) / float(den)
-    return float(token)
+    num, slash, den = token.partition("/")
+    try:
+        num, den = float(num), float(den) if slash else 1.0
+    except ValueError:
+        raise DomainError(f"--fractions: expected a number or a ratio a/b, got {token!r}") from None
+    if den == 0.0:
+        raise DomainError(f"fraction {token!r} has a zero denominator")
+    return num / den
 
 
 def cmd_run_all(args) -> int:

@@ -16,7 +16,7 @@ from .errors import DomainError, check_section
 from .hlc import HlcParams
 from .labels import LabelLayout
 from .optics import OpticsConfig
-from .scene import Scene, build_face, screen_from_image
+from .scene import FaceModel, Scene, screen_from_image
 
 import numpy as np
 
@@ -177,7 +177,7 @@ class ExperimentConfig:
             content, (s.width, s.height), (s.rows, s.cols), s.center, s.normal, s.radiance_scale
         )
         f = self.face
-        face = build_face(
+        face = FaceModel(
             f.center, f.semi_axes, (f.rows, f.cols), f.k_d, f.k_s, f.k_a, f.n_s, f.patch_degrees
         )
         return Scene(screen, face, np.asarray(self.camera, dtype=float), self.optics_config(), self.exposure)

@@ -25,7 +25,7 @@ from .config import ExperimentConfig
 from .errors import DomainError, check
 from .labels import split_label
 from .ppm import read_ppm, write_ppm
-from .scene import face_screen_weights, quantize, resolve_exposure
+from .scene import quantize, resolve_exposure
 
 SPLITS = ("train", "test")
 
@@ -97,8 +97,7 @@ def generate_split(config: ExperimentConfig, split: str) -> List[FrameRecord]:
     s = config.screen
 
     scene = config.build_scene()
-    weights = face_screen_weights(scene)
-    u, v = scene.face.grid_shape
+    u, v = scene.face.grid
     ambient_part = (scene.face.k_a * scene.optics.ambient)[None, None, :]
 
     records: List[FrameRecord] = []
@@ -106,7 +105,7 @@ def generate_split(config: ExperimentConfig, split: str) -> List[FrameRecord]:
         j, k = split_label(label, layout)
         content = app_palette(j, k, s.rows, s.cols, seed)
         radiance = content.astype(float) / 255.0 * s.radiance_scale
-        screen_part = (weights @ radiance.reshape(-1, 3)).reshape(u, v, 3)
+        screen_part = (scene.weights @ radiance.reshape(-1, 3)).reshape(u, v, 3)
         exposure = resolve_exposure(scene, screen_part + ambient_part)
         rng = np.random.default_rng([seed, split_code, label])
         jit = config.noise.ambient_jitter

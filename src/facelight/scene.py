@@ -18,6 +18,7 @@ Conventions (world frame):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Sequence, Tuple, Union
 
 import numpy as np
@@ -26,12 +27,9 @@ from .errors import DomainError, GeometryError, check
 from .optics import OpticsConfig, reflection_cosines, unit, vec3
 from .ppm import require_image
 
-_COPLANAR_TOL = 1e-9
 
-
-def _screen_axes(normal: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Deterministic in-plane (u, v) basis for a screen with the given normal."""
-    n = unit(normal)
+def _screen_axes(n: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Deterministic in-plane (u, v) basis for a screen with unit normal `n`."""
     up = np.array([0.0, 1.0, 0.0])
     if abs(float(n @ up)) > 0.999:
         up = np.array([0.0, 0.0, 1.0])
@@ -40,52 +38,53 @@ def _screen_axes(normal: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
+def _radiance(values, shape=None) -> np.ndarray:
+    """`values` as a float (rows, cols, 3) radiance grid, of `shape` if given, >= 0 everywhere (NaN fails)."""
+    rad = np.asarray(values, dtype=float)
+    if rad.ndim != 3 or rad.shape[2] != 3 or rad.shape != (shape or rad.shape):
+        raise DomainError(f"radiance must be {shape or '(rows, cols, 3)'}, got shape {rad.shape}")
+    if not np.all(rad >= 0):
+        raise DomainError("unit radiance must be >= 0")
+    return rad
+
+
 @dataclass(frozen=True)
 class ScreenModel:
-    """Grid of emitting cells on a plane: positions/radiance are (rows, cols, 3)."""
+    """Grid of emitting cells on a plane, centered on `origin`.
 
-    positions: np.ndarray
+    The grid's rows and cols are those of `radiance`, (rows, cols, 3);
+    `positions` holds the cell centers in the same layout.
+    """
+
     radiance: np.ndarray
-    normal: np.ndarray
     width: float
     height: float
     origin: np.ndarray
+    normal: np.ndarray
+    positions: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        rad = _radiance(self.radiance)
+        rows, cols = check("screen.rows", rad.shape[0]), check("screen.cols", rad.shape[1])
         check("screen.width", self.width)
         check("screen.height", self.height)
-        pos = np.asarray(self.positions, dtype=float)
-        rad = np.asarray(self.radiance, dtype=float)
-        if pos.ndim != 3 or pos.shape[2] != 3:
-            raise DomainError(f"positions must be (rows, cols, 3), got {pos.shape}")
-        check("screen.rows", pos.shape[0])
-        check("screen.cols", pos.shape[1])
-        if rad.shape != pos.shape:
-            raise DomainError("radiance grid must match the position grid")
-        if np.any(rad < 0):
-            raise DomainError("unit radiance must be >= 0")
-        n = unit(check("screen.normal", vec3(self.normal)))
         origin = check("screen.center", vec3(self.origin))
-        off = (pos - origin) @ n
-        if np.max(np.abs(off)) > _COPLANAR_TOL:
-            raise GeometryError("screen units are not coplanar")
-        for axis in (0, 1):
-            if pos.shape[axis] > 2:
-                d = np.diff(pos, axis=axis)
-                if np.max(np.abs(d - d.take([0], axis=axis))) > 1e-9:
-                    raise GeometryError("screen unit spacing is not uniform")
-        object.__setattr__(self, "positions", pos)
+        n = unit(check("screen.normal", vec3(self.normal)))
+        u, v = _screen_axes(n)
+        us = ((np.arange(cols) + 0.5) / cols - 0.5) * self.width
+        vs = (0.5 - (np.arange(rows) + 0.5) / rows) * self.height
         object.__setattr__(self, "radiance", rad)
-        object.__setattr__(self, "normal", n)
         object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "normal", n)
+        object.__setattr__(self, "positions", origin + us[None, :, None] * u + vs[:, None, None] * v)
 
     @property
     def rows(self) -> int:
-        return self.positions.shape[0]
+        return self.radiance.shape[0]
 
     @property
     def cols(self) -> int:
-        return self.positions.shape[1]
+        return self.radiance.shape[1]
 
 
 def _cell_means(content: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -98,15 +97,6 @@ def _cell_means(content: np.ndarray, rows: int, cols: int) -> np.ndarray:
         for j in range(cols):
             out[i, j] = content[re[i] : re[i + 1], ce[j] : ce[j + 1]].reshape(-1, 3).mean(axis=0)
     return out
-
-
-def screen_grid_positions(rows, cols, width, height, origin, normal):
-    """Cell-center positions of a rows x cols screen grid, (rows, cols, 3)."""
-    origin = vec3(origin)
-    u, v = _screen_axes(normal)
-    us = ((np.arange(cols) + 0.5) / cols - 0.5) * width
-    vs = (0.5 - (np.arange(rows) + 0.5) / rows) * height
-    return origin + us[None, :, None] * u + vs[:, None, None] * v
 
 
 def screen_from_image(
@@ -124,8 +114,6 @@ def screen_from_image(
     the screen, column 0 to its left edge (as seen looking along -normal).
     """
     content = require_image(content)
-    origin, normal = check("screen.center", vec3(origin)), check("screen.normal", vec3(normal))
-    width, height = physical
     rows, cols = check("screen.rows", grid[0]), check("screen.cols", grid[1])
     if rows > content.shape[0] or cols > content.shape[1]:
         raise DomainError(
@@ -133,77 +121,48 @@ def screen_from_image(
         )
     check("screen.radiance_scale", radiance_scale)
     radiance = _cell_means(content.astype(float), rows, cols) / 255.0 * radiance_scale
-    positions = screen_grid_positions(rows, cols, width, height, origin, normal)
-    return ScreenModel(positions, radiance, unit(normal), float(width), float(height), vec3(origin))
+    return ScreenModel(radiance, physical[0], physical[1], origin, normal)
 
 
 @dataclass(frozen=True)
 class FaceModel:
-    """Ellipsoid-patch face: point/normal grids are (U, V, 3), coefficients uniform."""
+    """Ellipsoid patch facing -z (toward the screen), with uniform coefficients.
 
-    positions: np.ndarray
-    normals: np.ndarray
+    The patch spans +-patch_degrees in azimuth (columns, -x -> +x) and
+    elevation (rows, +y -> -y, so row 0 is the top of the face) on a
+    grid = (rows, cols) of points.  `positions` and `normals` are (rows, cols,
+    3); the normals are the analytic outward ellipsoid gradients, normalized.
+    """
+
     center: np.ndarray
     semi_axes: Tuple[float, float, float]
+    grid: Tuple[int, int]
     k_d: float = 0.55
     k_s: float = 0.25
     k_a: float = 0.35
     n_s: float = 2.0
+    patch_degrees: float = 80.0
+    positions: np.ndarray = field(init=False)
+    normals: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float)
-        nrm = np.asarray(self.normals, dtype=float)
-        if pos.ndim != 3 or pos.shape[2] != 3:
-            raise DomainError(f"face positions must be (rows, cols, 3), got {pos.shape}")
-        check("face.rows", pos.shape[0])
-        check("face.cols", pos.shape[1])
-        for name in ("k_d", "k_s", "k_a", "n_s"):
+        center = check("face.center", vec3(self.center))
+        rows, cols = check("face.rows", self.grid[0]), check("face.cols", self.grid[1])
+        for name in ("k_d", "k_s", "k_a", "n_s", "patch_degrees"):
             check(f"face.{name}", getattr(self, name))
-        if nrm.shape != pos.shape:
-            raise DomainError("normal grid must match the position grid")
-        norms = np.linalg.norm(nrm, axis=2)
-        if np.max(np.abs(norms - 1.0)) > 1e-9:
-            raise DomainError("face normals must be unit-norm")
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "normals", nrm)
-        object.__setattr__(self, "center", check("face.center", vec3(self.center)))
-
-    @property
-    def grid_shape(self) -> Tuple[int, int]:
-        return self.positions.shape[:2]
-
-
-def build_face(
-    center,
-    semi_axes: Tuple[float, float, float],
-    grid: Tuple[int, int],
-    k_d: float = 0.55,
-    k_s: float = 0.25,
-    k_a: float = 0.35,
-    n_s: float = 2.0,
-    patch_degrees: float = 80.0,
-) -> FaceModel:
-    """Sample an ellipsoid patch facing -z (toward the screen).
-
-    The patch spans +-patch_degrees in azimuth (columns, -x -> +x) and
-    elevation (rows, +y -> -y, so row 0 is the top of the face).  Normals are
-    the analytic outward ellipsoid gradients, normalized.
-    """
-    a, b, c = (float(s) for s in check("face.semi_axes", semi_axes))
-    rows, cols = check("face.rows", grid[0]), check("face.cols", grid[1])
-    check("face.patch_degrees", patch_degrees)
-    center = check("face.center", vec3(center))
-    ext = np.deg2rad(patch_degrees)
-    beta = np.linspace(ext, -ext, rows)  # elevation, top row first
-    alpha = np.linspace(-ext, ext, cols)  # azimuth, -x first
-    bb, aa = np.meshgrid(beta, alpha, indexing="ij")
-    local = np.stack(
-        [a * np.cos(bb) * np.sin(aa), b * np.sin(bb), -c * np.cos(bb) * np.cos(aa)], axis=2
-    )
-    positions = center + local
-    grad = local / np.array([a * a, b * b, c * c])
-    normals = grad / np.linalg.norm(grad, axis=2, keepdims=True)
-    return FaceModel(positions, normals, center, (a, b, c), k_d, k_s, k_a, n_s)
+        a, b, c = (float(s) for s in check("face.semi_axes", self.semi_axes))
+        ext = np.deg2rad(self.patch_degrees)
+        beta = np.linspace(ext, -ext, rows)  # elevation, top row first
+        alpha = np.linspace(-ext, ext, cols)  # azimuth, -x first
+        bb, aa = np.meshgrid(beta, alpha, indexing="ij")
+        local = np.stack(
+            [a * np.cos(bb) * np.sin(aa), b * np.sin(bb), -c * np.cos(bb) * np.cos(aa)], axis=2
+        )
+        grad = local / np.array([a * a, b * b, c * c])
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "semi_axes", (a, b, c))
+        object.__setattr__(self, "positions", center + local)
+        object.__setattr__(self, "normals", grad / np.linalg.norm(grad, axis=2, keepdims=True))
 
 
 @dataclass(frozen=True)
@@ -225,6 +184,11 @@ class Scene:
         d0 = (self.face.positions - self.screen.origin) @ self.screen.normal
         if np.min(d0) <= 0:
             raise GeometryError("face must be strictly in front of the screen plane")
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """`face_screen_weights` of this scene, computed on first use."""
+        return face_screen_weights(self)
 
 
 def quantize(values: np.ndarray) -> np.ndarray:
@@ -251,14 +215,11 @@ def face_screen_weights(scene: Scene) -> np.ndarray:
     return falloff * (face.k_d * cos_r + face.k_s * cos_m**face.n_s)
 
 
-def render_linear(scene: Scene, weights: np.ndarray = None, radiance: np.ndarray = None) -> np.ndarray:
+def render_linear(scene: Scene, radiance: np.ndarray = None) -> np.ndarray:
     """Un-exposed linear intensity per face grid point, shape (U, V, 3), under `radiance` or the screen's own."""
-    if weights is None:
-        weights = face_screen_weights(scene)
-    radiance = scene.screen.radiance if radiance is None else radiance
-    linear = weights @ radiance.reshape(-1, 3) + scene.face.k_a * scene.optics.ambient
-    u, v = scene.face.grid_shape
-    return linear.reshape(u, v, 3)
+    radiance = scene.screen.radiance if radiance is None else _radiance(radiance, scene.screen.radiance.shape)
+    linear = scene.weights @ radiance.reshape(-1, 3) + scene.face.k_a * scene.optics.ambient
+    return linear.reshape(*scene.face.grid, 3)
 
 
 def resolve_exposure(scene: Scene, linear: np.ndarray) -> float:
@@ -271,9 +232,9 @@ def resolve_exposure(scene: Scene, linear: np.ndarray) -> float:
     return 240.0 / p99
 
 
-def render_face(scene: Scene, weights: np.ndarray = None) -> np.ndarray:
+def render_face(scene: Scene) -> np.ndarray:
     """Render the face to an (U, V, 3) uint8 image."""
-    linear = render_linear(scene, weights)
+    linear = render_linear(scene)
     return quantize(resolve_exposure(scene, linear) * linear)
 
 

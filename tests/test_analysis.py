@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from facelight.analysis import (
-    default_ratio_sweep,
+    RATIO_THRESHOLDS,
     half_ratio_samples,
     ks_pvalue,
     ks_statistic,
@@ -170,7 +170,7 @@ def test_mdc_csv_layout(tmp_path, template_scene):
 
 
 def test_ratio_sweep_covers_percent_grid():
-    sweep = default_ratio_sweep()
+    sweep = RATIO_THRESHOLDS
     assert sweep[0] == pytest.approx(0.01)
     assert sweep[-1] == pytest.approx(0.99)
     assert len(sweep) == 99

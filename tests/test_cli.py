@@ -463,9 +463,14 @@ def test_attack_accuracy_line_is_plain_decimal(pipeline, tmp_path, capsys):
     assert "np." not in line
 
 
-def test_mdc_zero_denominator_one_error_line(tmp_path, tiny_config, capsys):
-    code = run("mdc", "--config", tiny_config, "--out", str(tmp_path / "x.csv"), "--fractions", "1/0")
-    assert "zero denominator" in _assert_one_error_line(capsys, code)
+@pytest.mark.parametrize(
+    "fractions, named",
+    [("1/0", "fraction '1/0' has a zero denominator"), ("abc", "--fractions"), ("1/x", "--fractions")],
+)
+def test_mdc_bad_fraction_one_error_line(tmp_path, tiny_config, capsys, fractions, named):
+    code = run("mdc", "--config", tiny_config, "--out", str(tmp_path / "x.csv"), "--fractions", fractions)
+    assert named in _assert_one_error_line(capsys, code)
+    assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -546,16 +551,30 @@ def test_l_size_flag_below_p_grid_one_error_line(tmp_path, tiny_config, capsys):
     assert not (tmp_path / "r").exists()
 
 
-@pytest.mark.parametrize("command", ["hlc-truth"])
+@pytest.mark.parametrize("command", ["hlc-truth", "hlc-truth-length", "train"])
 def test_label_beyond_layout_one_error_line(tmp_path, tiny_config, capsys, command):
     good = tmp_path / "good.csv"
     bad = tmp_path / "bad.csv"
+    out = tmp_path / "z.csv"
     good.write_text("t,label_index\n1,0\n2,3\n")
-    bad.write_text("t,label_index\n1,0\n2,4\n")  # TINY has 4 labels
-    out = str(tmp_path / "z.csv")
-    argv = ("hlc", str(good), "--truth", str(bad), "--config", tiny_config, "--out", out)
+    if command == "train":
+        split = tmp_path / "data" / "train"
+        split.mkdir(parents=True)
+        (split / "frame.ppm").write_bytes(b"P6\n8 8\n255\n" + bytes(8 * 8 * 3))
+        (split / "manifest.csv").write_text("path,label_index,sequence_id,t\nframe.ppm,4,train-04,1\n")
+        argv = ("train", str(tmp_path / "data"), str(out), "--config", tiny_config)
+        named = f"{split / 'manifest.csv'}: label 4 out of range for the config's 4 labels"
+    elif command == "hlc-truth-length":
+        bad.write_text("t,label_index\n1,0\n")
+        argv = ("hlc", str(good), "--truth", str(bad), "--config", tiny_config, "--out", str(out))
+        named = f"{bad}: expected 2 labels like {good}, got 1"
+    else:
+        bad.write_text("t,label_index\n1,0\n2,4\n")  # TINY has 4 labels
+        argv = ("hlc", str(good), "--truth", str(bad), "--config", tiny_config, "--out", str(out))
+        named = f"{bad}: label 4"
     line = _assert_one_error_line(capsys, run(*argv))
-    assert f"{bad}: label 4" in line
+    assert named in line
+    assert not out.exists()
 
 
 def test_attack_and_train_read_only_their_documented_layout(pipeline, tmp_path, capsys):

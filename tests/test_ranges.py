@@ -18,14 +18,12 @@ from facelight.hlc import HlcParams, LabelSequence, param_grid
 from facelight.optics import FacePoint, OpticsConfig
 from facelight.ppm import write_ppm
 from facelight.preprocess import resize
-from facelight.scene import FaceModel, Scene, ScreenModel, build_face, screen_from_image, simulate_weight_curves
+from facelight.scene import FaceModel, Scene, ScreenModel, render_linear, screen_from_image, simulate_weight_curves
 
 NAN = float("nan")
 INF = float("inf")
 CONTENT = np.zeros((4, 4, 3), dtype=np.uint8)
-GRID = np.zeros((2, 2, 3))
 NORMAL = (0.0, 0.0, 1.0)
-FACE = build_face((0, 0, 0.45), (0.08, 0.10, 0.09), (4, 4))
 POINT = ((0.0, 0.5), (0.0, -1.0))
 
 
@@ -38,8 +36,12 @@ def _screen(grid=(2, 2), physical=(0.6, 0.34), scale=100.0):
     return screen_from_image(CONTENT, physical, grid, (0, 0, 0), NORMAL, scale)
 
 
-def _face_model(**kwargs):
-    return FaceModel(FACE.positions, FACE.normals, FACE.center, FACE.semi_axes, **kwargs)
+def _screen_model(radiance=np.zeros((2, 2, 3)), width=0.6, height=0.34, origin=(0, 0, 0), normal=NORMAL):
+    return ScreenModel(radiance, width, height, origin, normal)
+
+
+def _face_model(center=(0, 0, 0.45), semi_axes=(0.08, 0.10, 0.09), grid=(4, 4), **kwargs):
+    return FaceModel(center, semi_axes, grid, **kwargs)
 
 
 def _face_point(**kwargs):
@@ -61,54 +63,35 @@ CASES = [
     ("camera", [0.0, NAN, 0.02], [lambda v: Scene(_scene().screen, _scene().face, v)]),
     ("screen.center", [0.0, INF, 0.0], [
         lambda v: screen_from_image(CONTENT, (0.6, 0.34), (2, 2), v, NORMAL),
-        lambda v: ScreenModel(GRID, GRID, NORMAL, 0.6, 0.34, v),
+        lambda v: _screen_model(origin=v),
     ]),
     ("screen.normal", [0.0, NAN, 1.0], [
         lambda v: screen_from_image(CONTENT, (0.6, 0.34), (2, 2), (0, 0, 0), v),
-        lambda v: ScreenModel(GRID, GRID, v, 0.6, 0.34, (0, 0, 0)),
+        lambda v: _screen_model(normal=v),
     ]),
     ("screen.rows", 0, [
         lambda v: _screen(grid=(v, 2)),
-        lambda v: ScreenModel(np.zeros((v, 2, 3)), np.zeros((v, 2, 3)), NORMAL, 0.6, 0.34, (0, 0, 0)),
+        lambda v: _screen_model(radiance=np.zeros((v, 2, 3))),
         lambda v: app_palette(0, 0, v, 2, 0),
     ]),
     ("screen.cols", -2, [lambda v: _screen(grid=(2, v)), lambda v: app_palette(0, 0, 2, v, 0)]),
-    ("screen.width", 0.0, [
-        lambda v: _screen(physical=(v, 0.34)),
-        lambda v: ScreenModel(GRID, GRID, NORMAL, v, 0.34, (0, 0, 0)),
-    ]),
-    ("screen.width", NAN, [lambda v: ScreenModel(GRID, GRID, NORMAL, v, 0.34, (0, 0, 0))]),
-    ("screen.height", -0.1, [lambda v: ScreenModel(GRID, GRID, NORMAL, 0.6, v, (0, 0, 0))]),
+    ("screen.width", 0.0, [lambda v: _screen(physical=(v, 0.34)), lambda v: _screen_model(width=v)]),
+    ("screen.width", NAN, [lambda v: _screen(physical=(v, 0.34)), lambda v: _screen_model(width=v)]),
+    ("screen.height", -0.1, [lambda v: _screen(physical=(0.6, v)), lambda v: _screen_model(height=v)]),
     ("screen.radiance_scale", -1.0, [
         lambda v: _screen(scale=v),
         lambda v: mdc_search(_scene(), [1.0], radiance_scale=v),
     ]),
-    ("face.center", [NAN, 0.0, 0.45], [
-        lambda v: build_face(v, (0.08, 0.10, 0.09), (4, 4)),
-        lambda v: FaceModel(FACE.positions, FACE.normals, v, FACE.semi_axes),
-    ]),
-    ("face.rows", 1, [
-        lambda v: build_face((0, 0, 0.45), (0.08, 0.10, 0.09), (v, 4)),
-        lambda v: FaceModel(np.zeros((v, 4, 3)), np.zeros((v, 4, 3)), (0, 0, 0.45), (0.08, 0.10, 0.09)),
-    ]),
-    ("face.cols", 0, [lambda v: build_face((0, 0, 0.45), (0.08, 0.10, 0.09), (4, v))]),
-    ("face.k_d", -1.0, [
-        lambda v: build_face((0, 0, 0.45), (0.08, 0.10, 0.09), (4, 4), k_d=v),
-        lambda v: _face_model(k_d=v),
-        lambda v: _face_point(k_d=v),
-    ]),
+    ("face.center", [NAN, 0.0, 0.45], [lambda v: _face_model(center=v)]),
+    ("face.rows", 1, [lambda v: _face_model(grid=(v, 4))]),
+    ("face.cols", 0, [lambda v: _face_model(grid=(4, v))]),
+    ("face.k_d", -1.0, [lambda v: _face_model(k_d=v), lambda v: _face_point(k_d=v)]),
     ("face.k_d", NAN, [lambda v: _face_model(k_d=v), lambda v: _face_point(k_d=v)]),
     ("face.k_s", 1.5, [lambda v: _face_model(k_s=v), lambda v: _face_point(k_s=v)]),
     ("face.k_a", -0.5, [lambda v: _face_model(k_a=v), lambda v: _face_point(k_a=v)]),
-    ("face.n_s", 0.25, [
-        lambda v: build_face((0, 0, 0.45), (0.08, 0.10, 0.09), (4, 4), n_s=v),
-        lambda v: _face_model(n_s=v),
-        lambda v: _face_point(n_s=v),
-    ]),
-    ("face.semi_axes", [0.08, 0.0, 0.09], [lambda v: build_face((0, 0, 0.45), v, (4, 4))]),
-    ("face.patch_degrees", 400.0, [
-        lambda v: build_face((0, 0, 0.45), (0.08, 0.10, 0.09), (4, 4), patch_degrees=v),
-    ]),
+    ("face.n_s", 0.25, [lambda v: _face_model(n_s=v), lambda v: _face_point(n_s=v)]),
+    ("face.semi_axes", [0.08, 0.0, 0.09], [lambda v: _face_model(semi_axes=v)]),
+    ("face.patch_degrees", 400.0, [lambda v: _face_model(patch_degrees=v)]),
     ("optics.g", -5.0, [lambda v: OpticsConfig(v)]),
     ("optics.g", NAN, [lambda v: OpticsConfig(v)]),
     ("optics.ambient", [6.0, -1.0, 6.0], [lambda v: OpticsConfig(30.0, np.asarray(v))]),
@@ -150,15 +133,36 @@ def test_out_of_range_reads_the_same_in_config_and_library(key, value, calls):
         assert str(info.value) == message
 
 
-def test_face_coefficients_rejected_by_build_face_and_face_model():
+def test_face_coefficients_rejected_by_face_model():
     with pytest.raises(DomainError, match=r"face\.k_d must lie in \[0, 1\], got -1"):
-        build_face((0, 0, 0.45), (0.08, 0.10, 0.09), (4, 4), k_d=-1, k_s=0.25, n_s=2.0)
+        FaceModel((0, 0, 0.45), (0.08, 0.10, 0.09), (4, 4), -1, 0.25, 0.35, 2.0)
     with pytest.raises(DomainError, match=r"face\.n_s must be >= 1, got 0.25"):
-        build_face((0, 0, 0.45), (0.08, 0.10, 0.09), (4, 4), n_s=0.25)
+        FaceModel((0, 0, 0.45), (0.08, 0.10, 0.09), (4, 4), n_s=0.25)
     with pytest.raises(DomainError, match=r"face\.k_d must lie in \[0, 1\], got -1"):
         _face_model(k_d=-1)
     with pytest.raises(DomainError, match=r"face\.n_s must be >= 1, got 0.25"):
         _face_model(n_s=0.25)
+
+
+# --- radiance grids --------------------------------------------------------
+
+RADIANCE_USERS = [lambda rad: _screen_model(radiance=rad), lambda rad: render_linear(_scene(), rad)]
+
+
+@pytest.mark.parametrize("bad", [NAN, -1.0])
+@pytest.mark.parametrize("use", RADIANCE_USERS, ids=["ScreenModel", "render_linear"])
+def test_nan_or_negative_radiance_rejected(use, bad):
+    rad = np.zeros((18, 32, 3))  # the default screen's grid
+    rad[1, 2, 0] = bad
+    with pytest.raises(DomainError, match=r"^unit radiance must be >= 0$"):
+        use(rad)
+
+
+def test_radiance_grid_of_another_shape_rejected():
+    with pytest.raises(DomainError, match=r"radiance must be \(rows, cols, 3\), got shape \(2, 2\)$"):
+        _screen_model(radiance=np.zeros((2, 2)))
+    with pytest.raises(DomainError, match=r"radiance must be \(18, 32, 3\), got shape \(2, 2, 3\)$"):
+        render_linear(_scene(), np.zeros((2, 2, 3)))
 
 
 # --- 8-bit images ----------------------------------------------------------

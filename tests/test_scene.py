@@ -8,8 +8,8 @@ import oracle_optics as oracle
 from facelight.errors import DomainError, GeometryError
 from facelight.optics import OpticsConfig, unit, vec3
 from facelight.scene import (
+    FaceModel,
     Scene,
-    build_face,
     count_local_maxima,
     face_screen_weights,
     fwhm,
@@ -35,7 +35,7 @@ def make_scene(content=None, rows=6, cols=8, ambient=(5.0, 5.0, 5.0), exposure="
     if content is None:
         content = _solid(rows, cols, (0, 0, 0))
     screen = screen_from_image(content, (0.6, 0.34), (rows, cols), (0, 0, 0), (0, 0, 1))
-    face = build_face((0, 0, 0.45), (0.08, 0.10, 0.09), face_grid, k_s=k_s)
+    face = FaceModel((0, 0, 0.45), (0.08, 0.10, 0.09), face_grid, k_s=k_s)
     return Scene(screen, face, vec3(0, 0.12, 0.02), OpticsConfig(30.0, vec3(ambient)), exposure)
 
 
@@ -77,22 +77,22 @@ def test_screen_geometry_left_column_at_negative_x():
     assert np.all(np.diff(ys, axis=0) < 0)  # row 0 is the top
 
 
-# --- build_face ------------------------------------------------------------
+# --- FaceModel -------------------------------------------------------------
 
 def test_sphere_normals_are_radial():
-    face = build_face((0.5, -0.2, 1.0), (0.1, 0.1, 0.1), (5, 5))
+    face = FaceModel((0.5, -0.2, 1.0), (0.1, 0.1, 0.1), (5, 5))
     radial = face.positions - np.array([0.5, -0.2, 1.0])
     radial /= np.linalg.norm(radial, axis=2, keepdims=True)
     assert np.allclose(face.normals, radial, atol=1e-9)
 
 
 def test_grid_cardinality():
-    face = build_face((0, 0, 0.5), (0.08, 0.1, 0.12), (2, 2))
+    face = FaceModel((0, 0, 0.5), (0.08, 0.1, 0.12), (2, 2))
     assert face.positions.shape == (2, 2, 3)
 
 
 def test_ellipsoid_normals_unit_and_outward():
-    face = build_face((0, 0, 0.5), (0.08, 0.10, 0.12), (7, 9))
+    face = FaceModel((0, 0, 0.5), (0.08, 0.10, 0.12), (7, 9))
     norms = np.linalg.norm(face.normals, axis=2)
     assert np.max(np.abs(norms - 1.0)) <= 1e-9
     outward = np.einsum("uvq,uvq->uv", face.normals, face.positions - np.array([0, 0, 0.5]))
@@ -101,9 +101,9 @@ def test_ellipsoid_normals_unit_and_outward():
 
 def test_degenerate_axes_rejected():
     with pytest.raises(DomainError):
-        build_face((0, 0, 0.5), (0.0, 0.1, 0.1), (4, 4))
+        FaceModel((0, 0, 0.5), (0.0, 0.1, 0.1), (4, 4))
     with pytest.raises(DomainError):
-        build_face((0, 0, 0.5), (0.1, 0.1, 0.1), (1, 4))
+        FaceModel((0, 0, 0.5), (0.1, 0.1, 0.1), (1, 4))
 
 
 # --- render_face -----------------------------------------------------------
@@ -147,7 +147,7 @@ def test_render_deterministic():
 def test_fixed_exposure_monotone():
     content = _solid(6, 8, (90, 120, 10))
     screen = screen_from_image(content, (0.6, 0.34), (6, 8), (0, 0, 0), (0, 0, 1))
-    face = build_face((0, 0, 0.45), (0.08, 0.10, 0.09), (8, 8))
+    face = FaceModel((0, 0, 0.45), (0.08, 0.10, 0.09), (8, 8))
     cam = vec3(0, 0.12, 0.02)
     optics = OpticsConfig(30.0, vec3(3, 3, 3))
     low = render_face(Scene(screen, face, cam, optics, 1.0))
@@ -184,18 +184,27 @@ def test_weights_match_loop_oracle_on_random_scenes():
         normal = unit(np.array([rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3), 1.0]))
         content = rng.integers(0, 256, size=(5, 7, 3)).astype(np.uint8)
         screen = screen_from_image(content, (0.6, 0.34), (5, 7), (0, 0, 0), normal)
-        face = build_face((rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05), 0.45), (0.08, 0.10, 0.09),
+        face = FaceModel((rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05), 0.45), (0.08, 0.10, 0.09),
                           (5, 6), k_s=rng.uniform(0.1, 0.5), n_s=rng.uniform(1, 5))
         camera = vec3(rng.uniform(-0.2, 0.2), rng.uniform(0.12, 0.2), rng.uniform(0.0, 0.1))
         scene = Scene(screen, face, camera, OpticsConfig(rng.uniform(5, 40), rng.uniform(0, 5, size=3)))
         linear = face_screen_weights(scene) @ screen.radiance.reshape(-1, 3) + face.k_a * scene.optics.ambient
         emitters = oracle.emitter_units(screen)
         for p in range(linear.shape[0]):
-            u, v = divmod(p, face.grid_shape[1])
+            u, v = divmod(p, face.grid[1])
             expect = oracle.reflected_intensity(
                 oracle.face_point(face, u, v), emitters, screen.normal, camera, scene.optics
             )
             np.testing.assert_allclose(linear[p], expect, rtol=1e-12)
+
+
+def test_scene_weights_computed_once():
+    scene = make_scene(_solid(6, 8, (90, 40, 200)))
+    assert scene.weights is scene.weights
+    assert np.array_equal(scene.weights, face_screen_weights(scene))
+    radiance = np.full((6, 8, 3), 7.0)
+    expect = scene.weights @ radiance.reshape(-1, 3) + scene.face.k_a * scene.optics.ambient
+    assert np.array_equal(render_linear(scene, radiance), expect.reshape(8, 8, 3))
 
 
 def test_quantize_rounds_half_up_and_clamps():
@@ -212,14 +221,14 @@ def test_auto_exposure_anchors_p99():
 
 def test_camera_inside_face_rejected():
     screen = screen_from_image(_solid(2, 2, (9, 9, 9)), (0.6, 0.34), (2, 2), (0, 0, 0), (0, 0, 1))
-    face = build_face((0, 0, 0.45), (0.08, 0.10, 0.09), (4, 4))
+    face = FaceModel((0, 0, 0.45), (0.08, 0.10, 0.09), (4, 4))
     with pytest.raises(GeometryError):
         Scene(screen, face, vec3(0, 0, 0.45), OpticsConfig(), "auto")
 
 
 def test_face_behind_screen_rejected():
     screen = screen_from_image(_solid(2, 2, (9, 9, 9)), (0.6, 0.34), (2, 2), (0, 0, 0), (0, 0, 1))
-    face = build_face((0, 0, -0.45), (0.08, 0.10, 0.09), (4, 4))
+    face = FaceModel((0, 0, -0.45), (0.08, 0.10, 0.09), (4, 4))
     with pytest.raises(GeometryError):
         Scene(screen, face, vec3(0, 0.12, 0.02), OpticsConfig(), "auto")
 
