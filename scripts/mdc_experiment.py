@@ -10,12 +10,11 @@ reflection asymmetry disappears into the noise.
 """
 
 import argparse
-import dataclasses
 
 import numpy as np
 
 from facelight.config import ExperimentConfig, load_config
-from facelight.pipeline import mdc
+from facelight.pipeline import mdc_seeds
 
 
 def main():
@@ -23,9 +22,11 @@ def main():
     parser.add_argument("--config", default=None)
     parser.add_argument("--seeds", type=int, default=10)
     args = parser.parse_args()
+    if args.seeds < 1:
+        parser.error(f"--seeds must be >= 1, got {args.seeds}")
 
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    table = [mdc(dataclasses.replace(cfg, seed=seed)).min_p for seed in range(args.seeds)]
+    table = [result.min_p for result in mdc_seeds(cfg, range(args.seeds))]
     medians = np.median(table, axis=0)
     print("fraction  median_min_p")
     for fraction, p in zip(cfg.mdc.fractions, medians):

@@ -154,6 +154,7 @@ def write_dataset(dataset: dict, out_dir) -> None:
 
 
 def read_split(split_dir) -> List[FrameRecord]:
+    """The frame records a split directory's manifest lists; every frame has the first one's size."""
     manifest = os.path.join(split_dir, "manifest.csv")
     if not os.path.isfile(manifest):
         raise FileNotFoundError(f"no manifest.csv under {split_dir}")
@@ -184,6 +185,11 @@ def read_split(split_dir) -> List[FrameRecord]:
             if first != reader.line_num:
                 raise DomainError(f"{where}: sequence_id {sequence_id} and t {t} repeat line {first}")
             image = read_ppm(os.path.join(split_dir, path))
+            if records and image.shape != records[0].image.shape:
+                raise DomainError(
+                    f"{where}: frame {path} is {image.shape[0]}x{image.shape[1]}, "
+                    f"but the first frame is {records[0].image.shape[0]}x{records[0].image.shape[1]}"
+                )
             records.append(FrameRecord(image, label, sequence_id, t))
     if not records:
         raise DomainError(f"{manifest}: no frames listed")

@@ -54,7 +54,8 @@ from .preprocess import check_image, preprocess
 
 CHANNELS = 3
 WEIGHT_STD = 0.1
-BLOCK_BYTES = 512 * 1024  # the largest array a stage makes for one block; fits a per-core L2
+# the largest array a stage, or scene.face_screen_weights, makes for one block; fits a per-core L2
+BLOCK_BYTES = 512 * 1024
 MAX_THREADS = 4  # feature threads per call, the calling thread included
 # the shape of every FeatureParams array, in field order
 PARAM_SHAPES = {

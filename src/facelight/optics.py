@@ -14,9 +14,11 @@ ambient term:
 One kernel, `reflection_cosines`, computes the geometry of every (face point,
 emitter) pair: the mirror direction, the three cosines clamped into [0, 1]
 (so occluded and back-facing terms contribute nothing) and the squared
-distance.  The renderer's weight matrix (`scene.face_screen_weights`), the
-2-D weight curves (`scene.simulate_weight_curves`) and both forms of the
-total below are built on it.
+distance.  The renderer's weight matrix (`scene.face_screen_weights`, which
+calls it on one block of face points at a time), the 2-D weight curves
+(`scene.simulate_weight_curves`) and both forms of the total below are built
+on it.  Its temporaries are (P, E) and (P, E, 3) float64 arrays for P face
+points and E emitters, so a caller bounds its memory by the P it passes.
 
 For a planar screen the perpendicular distance from the face point to the
 screen plane is d0 = d * cos(theta_e), so the total can also be written with

@@ -76,10 +76,19 @@ def weight_curves(cfg: ExperimentConfig) -> List[scene.WeightCurve]:
 
 def mdc(cfg: ExperimentConfig) -> analysis.MdcResult:
     """The MDC search over `cfg.mdc.fractions` on the config's dark-screen scene."""
-    return analysis.mdc_search(
-        cfg.build_scene(),
-        cfg.mdc.fractions,
-        seed=cfg.require_seed(),
-        noise_sigma=cfg.noise.pixel_sigma,
-        radiance_scale=cfg.screen.radiance_scale,
-    )
+    return mdc_seeds(cfg, [cfg.require_seed()])[0]
+
+
+def mdc_seeds(cfg: ExperimentConfig, seeds: Sequence[int]) -> List[analysis.MdcResult]:
+    """`mdc` for each of `seeds`, all on one scene: the seed sets only the pixel noise."""
+    template = cfg.build_scene()
+    return [
+        analysis.mdc_search(
+            template,
+            cfg.mdc.fractions,
+            seed=seed,
+            noise_sigma=cfg.noise.pixel_sigma,
+            radiance_scale=cfg.screen.radiance_scale,
+        )
+        for seed in seeds
+    ]

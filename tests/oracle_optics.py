@@ -2,7 +2,10 @@
 
 Plain Python loops over emitters and scalar cosine helpers, independent of
 `facelight.optics.reflection_cosines`, so they serve as oracles for the
-vectorized weights, weight curves and both reflected-intensity forms.
+vectorized weights, weight curves and both reflected-intensity forms.  Two
+whole-array references sit beside them: the weight matrix computed for every
+(face point, emitter) pair at once, and the screen's cell means as one
+`mean` per cell.
 """
 
 import math
@@ -10,7 +13,7 @@ import math
 import numpy as np
 
 from facelight.errors import DomainError, GeometryError
-from facelight.optics import EmitterUnit, FacePoint, OpticsConfig, _require_unit, unit, vec3
+from facelight.optics import EmitterUnit, FacePoint, OpticsConfig, _require_unit, reflection_cosines, unit, vec3
 
 HALF_PI = math.pi / 2.0
 
@@ -27,6 +30,33 @@ def emitter_units(screen):
 def face_point(face, u, v):
     """Face grid point (u, v) with the face's reflection coefficients."""
     return FacePoint(face.positions[u, v], face.normals[u, v], face.k_d, face.k_s, face.k_a, face.n_s)
+
+
+def face_screen_weights(scene):
+    """`scene.face_screen_weights` for all (face point, emitter) pairs at once, shape (U*V, rows*cols)."""
+    face, screen = scene.face, scene.screen
+    cos_e, cos_r, cos_m, d2 = reflection_cosines(
+        face.positions.reshape(-1, 3),
+        face.normals.reshape(-1, 3),
+        screen.positions.reshape(-1, 3),
+        screen.normal,
+        scene.camera,
+    )
+    falloff = cos_e**scene.optics.g / d2
+    return falloff * (face.k_d * cos_r + face.k_s * cos_m**face.n_s)
+
+
+def cell_means(content, rows, cols):
+    """Mean RGB of each grid cell, one float `mean` per cell; cell edges partition the image evenly."""
+    content = np.asarray(content, dtype=float)
+    h, w = content.shape[:2]
+    re = (np.arange(rows + 1) * h) // rows
+    ce = (np.arange(cols + 1) * w) // cols
+    out = np.empty((rows, cols, 3), dtype=float)
+    for i in range(rows):
+        for j in range(cols):
+            out[i, j] = content[re[i] : re[i + 1], ce[j] : ce[j + 1]].reshape(-1, 3).mean(axis=0)
+    return out
 
 
 def angular_distribution(theta: float, g: float) -> float:

@@ -1,5 +1,6 @@
 import base64
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -16,6 +17,7 @@ from facelight.cli import main
 from facelight.config import config_from_dict
 from facelight.dataset import read_split
 from facelight.features import PARAM_SHAPES, feature_length
+from facelight.pipeline import mdc
 
 TINY = {
     "seed": 11,
@@ -302,13 +304,18 @@ def test_attack_list_form_model_one_error_line(pipeline, tmp_path, capsys):
         (b"P6\nab 8\n255\n", 0, "frame.ppm: PPM width must be an integer, got 'ab'"),
         (b"P6\n8 8.0\n255\n", 0, "frame.ppm: PPM height must be an integer, got '8.0'"),
         (b"P6\n8 8\nff\n", 0, "frame.ppm: PPM maxval must be an integer, got 'ff'"),
+        (b"P6\n2 2\n255\n", 0, "manifest.csv:3: frame frame.ppm is 2x2, but the first frame is 8x8"),
     ],
 )
 def test_attack_bad_split_one_error_line(pipeline, tmp_path, capsys, header, label, named):
+    # a well-formed 8x8 frame, then the frame under test
     split = tmp_path / "split"
     split.mkdir()
+    (split / "first.ppm").write_bytes(b"P6\n8 8\n255\n" + bytes(8 * 8 * 3))
     (split / "frame.ppm").write_bytes(header + bytes(8 * 8 * 3))
-    (split / "manifest.csv").write_text(f"path,label_index,sequence_id,t\nframe.ppm,{label},test-00,1\n")
+    (split / "manifest.csv").write_text(
+        f"path,label_index,sequence_id,t\nfirst.ppm,{label},test-00,1\nframe.ppm,{label},test-00,2\n"
+    )
     line = _assert_one_error_line(capsys, run("attack", str(pipeline["model"]), str(split)))
     assert f"{split / named}" in line
 
@@ -716,6 +723,25 @@ def test_mdc_script_matches_cli(tmp_path, tiny_config):
         f"{float(f):8.4f}  {float(p):12.4g}  {'quiet' if float(p) >= 0.05 else 'detected'}" for f, p in rows
     ]
     assert _script("mdc_experiment.py", "--config", tiny_config, "--seeds", 1, cwd=tmp_path) == expected
+
+
+def test_mdc_script_median_over_per_seed_searches(tmp_path, tiny_config):
+    # one scene for every seed gives each seed's own `pipeline.mdc` result
+    cfg = config_from_dict(TINY)
+    table = [mdc(dataclasses.replace(cfg, seed=seed)).min_p for seed in range(3)]
+    expected = ["fraction  median_min_p"] + [
+        f"{f:8.4f}  {p:12.4g}  {'quiet' if p >= 0.05 else 'detected'}"
+        for f, p in zip(TINY["mdc"]["fractions"], np.median(table, axis=0))
+    ]
+    assert _script("mdc_experiment.py", "--config", tiny_config, "--seeds", 3, cwd=tmp_path) == expected
+
+
+@pytest.mark.parametrize("value", [0, -2])
+def test_mdc_script_rejects_empty_sweep(tmp_path, value):
+    proc = _run_script("mdc_experiment.py", "--seeds", value, cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1] == f"mdc_experiment.py: error: --seeds must be >= 1, got {value}"
 
 
 def test_hlc_sweep_script_table_and_best_line(tmp_path):

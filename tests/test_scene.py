@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracle_optics as oracle
 
+from facelight import scene as scene_module
+from facelight.config import config_from_dict
 from facelight.errors import DomainError, GeometryError
 from facelight.optics import OpticsConfig, unit, vec3
 from facelight.scene import (
@@ -205,6 +208,92 @@ def test_scene_weights_computed_once():
     radiance = np.full((6, 8, 3), 7.0)
     expect = scene.weights @ radiance.reshape(-1, 3) + scene.face.k_a * scene.optics.ambient
     assert np.array_equal(render_linear(scene, radiance), expect.reshape(8, 8, 3))
+
+
+# --- blocked weights against the whole-array oracle -------------------------
+
+def _config_scene(face=(24, 24), screen=(18, 32)):
+    return config_from_dict(
+        {"face": {"rows": face[0], "cols": face[1]}, "screen": {"rows": screen[0], "cols": screen[1]}}
+    ).build_scene()
+
+
+def _assert_weights_match_oracle(scene):
+    got = face_screen_weights(scene)
+    assert got.tobytes() == oracle.face_screen_weights(scene).tobytes()
+    return got
+
+
+def test_weights_bits_match_oracle_on_default_scene():
+    scene = _config_scene()
+    assert 1 < scene_module.BLOCK_BYTES // (24 * 18 * 32) < 24 * 24  # several blocks
+    _assert_weights_match_oracle(scene)
+
+
+def test_weights_bits_match_oracle_on_tilted_scenes():
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        normal = unit(np.array([rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3), 1.0]))
+        content = rng.integers(0, 256, size=(29, 29, 3)).astype(np.uint8)
+        screen = screen_from_image(content, (0.6, 0.34), (29, 29), (0, 0, 0), normal)
+        face = FaceModel((rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05), 0.45), (0.08, 0.10, 0.09),
+                         (9, 11), k_s=rng.uniform(0.1, 0.5), n_s=rng.uniform(1, 5))
+        camera = vec3(rng.uniform(-0.2, 0.2), rng.uniform(0.12, 0.2), rng.uniform(0.0, 0.1))
+        _assert_weights_match_oracle(Scene(screen, face, camera, OpticsConfig(rng.uniform(5, 40))))
+
+
+@pytest.mark.parametrize("face_grid", [(4, 6), (5, 5), (2, 13)])
+def test_weights_bits_match_oracle_around_one_block(face_grid):
+    # a 29x29 screen gives 25-point blocks; the face has 24, 25 and 26 points
+    scene = _config_scene(face_grid, (29, 29))
+    assert scene_module.BLOCK_BYTES // (24 * 29 * 29) == 25
+    _assert_weights_match_oracle(scene)
+
+
+def test_weights_bits_match_oracle_with_one_point_blocks():
+    scene = _config_scene((2, 3), (150, 150))
+    assert scene_module.BLOCK_BYTES // (24 * 150 * 150) == 0  # so every block holds one point
+    assert _assert_weights_match_oracle(scene).shape == (6, 150 * 150)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "face_grid, screen_grid, bound",
+    [
+        ((24, 24), (18, 32), 24 * 24 * 18 * 32 * 8 + 4 * 2**20),  # the whole-array form reached 38 MiB
+        ((48, 48), (36, 64), 64 * 2**20),  # the whole-array form reached 608 MiB
+    ],
+    ids=["default", "face48x48-screen36x64"],
+)
+def test_weights_peak_memory_stays_near_the_output(face_grid, screen_grid, bound):
+    scene = _config_scene(face_grid, screen_grid)
+    assert _traced_peak(lambda: face_screen_weights(scene)) < bound
+
+
+# --- cell means against the per-cell oracle --------------------------------
+
+@pytest.mark.parametrize("size, grid", [((7, 10), (3, 4)), ((9, 5), (1, 1)), ((6, 8), (6, 8)), ((13, 1), (5, 1))])
+def test_cell_means_bits_match_oracle_on_edge_grids(size, grid):
+    content = np.random.default_rng(size[0] * 100 + size[1]).integers(0, 256, size=(*size, 3)).astype(np.uint8)
+    assert scene_module._cell_means(content, *grid).tobytes() == oracle.cell_means(content, *grid).tobytes()
+
+
+def test_cell_means_bits_match_oracle_on_random_grids():
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        h, w = rng.integers(1, 50, size=2)
+        rows, cols = rng.integers(1, h + 1), rng.integers(1, w + 1)
+        content = rng.integers(0, 256, size=(h, w, 3)).astype(np.uint8)
+        got = scene_module._cell_means(content, rows, cols)
+        assert got.tobytes() == oracle.cell_means(content, rows, cols).tobytes()
 
 
 def test_quantize_rounds_half_up_and_clamps():
