@@ -9,9 +9,11 @@ averaged over seeds.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
+from facelight.cli import error_boundary
 from facelight.hlc import param_grid, sweep_params, write_sweep_csv
 
 
@@ -51,4 +53,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(error_boundary(main))

@@ -10,9 +10,11 @@ reflection asymmetry disappears into the noise.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
+from facelight.cli import error_boundary
 from facelight.config import ExperimentConfig, load_config
 from facelight.pipeline import mdc_seeds
 
@@ -35,4 +37,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(error_boundary(main))

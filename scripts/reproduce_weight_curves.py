@@ -10,7 +10,9 @@ peaks.
 """
 
 import argparse
+import sys
 
+from facelight.cli import error_boundary
 from facelight.config import ExperimentConfig, load_config
 from facelight.pipeline import weight_curves
 from facelight.scene import fwhm, peak_location, write_weight_curves_csv
@@ -34,4 +36,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(error_boundary(main))

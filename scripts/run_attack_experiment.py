@@ -10,10 +10,12 @@ correction, per seed and as medians.
 
 import argparse
 import dataclasses
+import sys
 import time
 
 import numpy as np
 
+from facelight.cli import error_boundary
 from facelight.config import ExperimentConfig, load_config
 from facelight.dataset import generate_dataset
 from facelight.pipeline import run_attack
@@ -40,4 +42,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(error_boundary(main))

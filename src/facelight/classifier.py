@@ -8,10 +8,33 @@ feature extractor underneath stays frozen.  Prediction takes the
 discriminator argmax (ties break to the lowest index), then the argmax of the
 selected category's predictor, and fuses the pair into a unified label.
 
-Training updates each head's arrays in place with `adam_update`, which runs
-all of Adam's elementwise passes over one L2-sized block of a parameter
-before the next, in the whole-array update's evaluation order, so the
-trained weights and the loss log keep the same bits.
+Training works on flat buffers.  Each head's six arrays are views of one
+flat float64 parameter buffer; `MlpHead.backward` writes the gradients with
+`out=` into a flat gradient buffer of the same layout, and each step makes
+one `adam_update` call over the flat buffers.  `adam_update` runs all of
+Adam's elementwise passes over one L2-sized block before the next, in the
+whole-array update's evaluation order; Adam is elementwise, so where the
+blocks start changes no bit, and the trained weights and the loss log equal
+a whole-array update of each array in turn.
+
+`train_two_tier` draws every head's weights and then every head's batch
+orders up front, in the order a sequential trainer draws them (the
+discriminator's epochs, then each predictor's), so the heads need no shared
+generator and can train at once.  The discriminator and the one-output
+heads train on the calling thread and the other predictors on helper
+threads, striped in category order, through `threads.run_shares`: one
+thread per CPU the process may use, at most `MAX_THREADS` and at most the
+heads with more than one output.  When the BLAS runs a matrix product on
+several threads (`threads.blas_threads`), every head trains on the calling
+thread instead: OpenBLAS then runs one threaded product at a time and its
+waiting workers spin, so two training threads beside them were slower than
+one.  Each head logs into its own list, and the lists are joined in head
+order, so neither the weights nor the log depend on the thread count.  The
+caller allocates each thread's workspace (a gradient, m and v buffer sized
+for the largest head, plus the Adam scratch) before any helper starts, each
+head zeroes its moments in it, and the caller frees them all after the
+join: buffers allocated per head on a helper would stay in that thread's
+malloc arena after they are freed.
 
 A model file is laid out like a PPM: one ASCII line of JSON header (kind,
 seed, grid sizes, label layout), then the raw little-endian float64 weights
@@ -36,6 +59,9 @@ import numpy as np
 from .errors import DomainError
 from .features import PARAM_SHAPES, FeatureParams, extract_features, feature_length
 from .labels import LabelLayout, split_label, unify_label
+from .threads import MAX_THREADS, run_shares
+# names of this module, so that a test can set them
+from .threads import blas_threads as _blas_threads, cpu_count as _cpu_count
 
 HIDDEN = (512, 256)
 ADAM_BETA1 = 0.9
@@ -118,6 +144,21 @@ def _head_shapes(in_dim: int, out_dim: int) -> Dict[str, Tuple[int, ...]]:
     return {"w1": (h1, in_dim), "b1": (h1,), "w2": (h2, h1), "b2": (h2,), "w3": (out_dim, h2), "b3": (out_dim,)}
 
 
+def _head_size(in_dim: int, out_dim: int) -> int:
+    """Floats in one head's parameters."""
+    return sum(math.prod(shape) for shape in _head_shapes(in_dim, out_dim).values())
+
+
+def _views(flat: np.ndarray, in_dim: int, out_dim: int) -> Dict[str, np.ndarray]:
+    """One head's parameter-shaped views of `flat`, consecutive in `_PARAM_NAMES` order."""
+    views, start = {}, 0
+    for name, shape in _head_shapes(in_dim, out_dim).items():
+        size = math.prod(shape)
+        views[name] = flat[start : start + size].reshape(shape)
+        start += size
+    return views
+
+
 @dataclass
 class MlpHead:
     """Dense in -> 512 -> 256 -> out head with ReLU activations and softmax output."""
@@ -130,16 +171,19 @@ class MlpHead:
     b3: np.ndarray
 
     @classmethod
-    def init(cls, in_dim: int, out_dim: int, rng: np.random.Generator) -> "MlpHead":
+    def init(cls, in_dim: int, out_dim: int, rng: np.random.Generator, flat: np.ndarray = None) -> "MlpHead":
         """He-style init: Gaussian with std sqrt(2 / fan_in), zero biases.
 
         The weights are drawn in w1, w2, w3 order; a weight's fan_in is its
-        column count.
+        column count.  The arrays are views of `flat`, a C-contiguous buffer
+        of `_head_size(in_dim, out_dim)` floats (a fresh one if None).
         """
-        return cls(**{
-            name: rng.normal(0.0, np.sqrt(2.0 / shape[1]), size=shape) if len(shape) == 2 else np.zeros(shape)
-            for name, shape in _head_shapes(in_dim, out_dim).items()
-        })
+        if flat is None:
+            flat = np.empty(_head_size(in_dim, out_dim))
+        params = _views(flat, in_dim, out_dim)
+        for name, arr in params.items():
+            arr[...] = rng.normal(0.0, np.sqrt(2.0 / arr.shape[1]), size=arr.shape) if arr.ndim == 2 else 0.0
+        return cls(**params)
 
     @property
     def in_dim(self) -> int:
@@ -162,6 +206,11 @@ class MlpHead:
         self, x: np.ndarray, target_idx: np.ndarray
     ) -> Tuple[float, Dict[str, np.ndarray]]:
         """Mean cross-entropy over the batch and its analytic parameter gradients."""
+        grads = {name: np.empty_like(p) for name, p in self.params().items()}
+        return self.backward(x, target_idx, grads), grads
+
+    def backward(self, x: np.ndarray, target_idx: np.ndarray, grads: Dict[str, np.ndarray]) -> float:
+        """Mean cross-entropy over the batch; writes each parameter's gradient into `grads[name]`."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         target_idx = np.asarray(target_idx, dtype=int)
         n = x.shape[0]
@@ -176,16 +225,17 @@ class MlpHead:
         dlogits = probs.copy()
         dlogits[np.arange(n), target_idx] -= 1.0
         dlogits /= n
-        grads = {"w3": dlogits.T @ a2, "b3": dlogits.sum(axis=0)}
+        np.matmul(dlogits.T, a2, out=grads["w3"])
+        np.sum(dlogits, axis=0, out=grads["b3"])
         da2 = dlogits @ self.w3
         dz2 = da2 * (z2 > 0.0)  # ReLU subgradient 0 at 0
-        grads["w2"] = dz2.T @ a1
-        grads["b2"] = dz2.sum(axis=0)
+        np.matmul(dz2.T, a1, out=grads["w2"])
+        np.sum(dz2, axis=0, out=grads["b2"])
         da1 = dz2 @ self.w2
         dz1 = da1 * (z1 > 0.0)
-        grads["w1"] = dz1.T @ x
-        grads["b1"] = dz1.sum(axis=0)
-        return loss, grads
+        np.matmul(dz1.T, x, out=grads["w1"])
+        np.sum(dz1, axis=0, out=grads["b1"])
+        return loss
 
     def params(self) -> Dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in _PARAM_NAMES}
@@ -212,33 +262,42 @@ class TwoTierModel:
 
 def _train_head(
     head: MlpHead,
+    flat: np.ndarray,
     x: np.ndarray,
     y: np.ndarray,
-    epochs: int,
+    orders: List[np.ndarray],
     batch_size: int,
     lr: float,
-    rng: np.random.Generator,
-    log: List[dict],
+    workspace: Tuple[np.ndarray, np.ndarray],
     head_name: str,
-) -> None:
+) -> List[dict]:
+    """Train `head`, whose arrays are views of `flat`, on the rows of `x` and
+    `y` in each epoch's order; returns its loss rows.
+
+    `workspace` is a (3, >= flat.size) gradient, m and v buffer and the Adam
+    scratch; the moments start at zero, and nothing the size of a weight is
+    allocated.
+    """
+    buffers, scratch = workspace
+    grad, m, v = buffers[:, : flat.size]
+    m.fill(0.0)
+    v.fill(0.0)
+    grads = _views(grad, head.in_dim, head.out_dim)
     # a one-output softmax is exactly 1, so its loss is -0.0 and every gradient
-    # and Adam step is exactly zero: such a head only draws its batch orders
+    # and Adam step is exactly zero: such a head only logs its batches
     fixed = head.out_dim == 1
-    params = head.params()
-    moments = {name: (np.zeros_like(p), np.zeros_like(p)) for name, p in params.items()}
-    scratch = np.empty((2, ADAM_BLOCK))
+    log: List[dict] = []
     t = 0
-    for epoch in range(1, epochs + 1):
-        order = rng.permutation(x.shape[0])
-        for b, start in enumerate(range(0, x.shape[0], batch_size)):
+    for epoch, order in enumerate(orders, 1):
+        for b, start in enumerate(range(0, order.size, batch_size)):
             loss = -0.0
             if not fixed:
                 idx = order[start : start + batch_size]
-                loss, grads = head.loss_and_gradients(x[idx], y[idx])
+                loss = head.backward(x[idx], y[idx], grads)
                 t += 1
-                for name, p in params.items():
-                    adam_update(p, grads[name], *moments[name], t, lr, scratch)
+                adam_update(flat, grad, m, v, t, lr, scratch)
             log.append({"head": head_name, "epoch": epoch, "batch": b, "loss": loss})
+    return log
 
 
 def train_two_tier(
@@ -258,8 +317,9 @@ def train_two_tier(
     `features` are extracted feature vectors, (N, D); `unified_labels` their
     unified application labels.  The discriminator trains on the category part
     of every sample; each predictor trains only on its own category's samples.
-    Deterministic for a fixed seed.  Returns the model and the per-batch loss
-    log (head, epoch, batch, loss).
+    Deterministic for a fixed seed, and the same for any thread count (see the
+    module notes).  Returns the model and the per-batch loss log (head, epoch,
+    batch, loss), the discriminator's rows first, then each predictor's.
     """
     x = np.asarray(features, dtype=float)
     if x.ndim != 2 or x.shape[0] == 0:
@@ -282,19 +342,37 @@ def train_two_tier(
         if not np.any(cats == j):
             raise DomainError(f"category '{layout.category_name(j)}' has no training samples")
 
+    # the generator's draws in sequential order: every head's weights, then
+    # the discriminator's batch orders, then each predictor's
     rng = np.random.default_rng(seed)
-    discriminator = MlpHead.init(x.shape[1], layout.num_categories, rng)
-    predictors = [MlpHead.init(x.shape[1], layout.counts[j], rng) for j in range(layout.num_categories)]
+    outs = [layout.num_categories, *layout.counts]
+    flats = [np.empty(_head_size(x.shape[1], n)) for n in outs]
+    heads = [MlpHead.init(x.shape[1], n, rng, flat) for n, flat in zip(outs, flats)]
+    rows = [np.arange(x.shape[0])] + [np.flatnonzero(cats == j) for j in range(layout.num_categories)]
+    orders = [[r[rng.permutation(r.size)] for _ in range(epochs)] for r in rows]
+    targets = [cats] + [apps] * layout.num_categories
+    names = ["discriminator"] + [layout.category_name(j) for j in range(layout.num_categories)]
 
-    log: List[dict] = []
-    _train_head(discriminator, x, cats, epochs, batch_size, lr, rng, log, "discriminator")
-    for j, predictor in enumerate(predictors):
-        sel = cats == j
-        _train_head(
-            predictor, x[sel], apps[sel], epochs, batch_size, lr, rng, log, layout.category_name(j)
-        )
-    model = TwoTierModel(layout, feature_params, discriminator, predictors, l_size, p_grid, seed)
-    return model, log
+    # the discriminator and the one-output heads on the calling thread, the
+    # other predictors striped over the helpers; a BLAS that runs its matrix
+    # products on several threads already keeps the CPUs busy
+    trained = [i for i, head in enumerate(heads) if head.out_dim > 1]
+    threads = max(1, min(_cpu_count(), MAX_THREADS, len(trained))) if _blas_threads() == 1 else 1
+    helped = [i for i in trained if i > 0] if threads > 1 else []
+    shares = [[i for i in range(len(heads)) if i not in helped]]
+    shares += [helped[k :: threads - 1] for k in range(threads - 1)]
+    # allocated here, not per head on the helpers, whose malloc arenas would
+    # keep the freed buffers; freed when this call returns
+    largest = max(flat.size for flat in flats)
+    workspaces = [(np.empty((3, largest)), np.empty((2, min(largest, ADAM_BLOCK)))) for _ in range(threads)]
+    logs = run_shares(
+        lambda k, i: _train_head(
+            heads[i], flats[i], x, targets[i], orders[i], batch_size, lr, workspaces[k], names[i]
+        ),
+        shares,
+    )
+    model = TwoTierModel(layout, feature_params, heads[0], heads[1:], l_size, p_grid, seed)
+    return model, [row for log in logs for row in log]
 
 
 def predict_features(model: TwoTierModel, features: np.ndarray) -> np.ndarray:

@@ -8,7 +8,8 @@ read and write files, and print.  Every flag that sets a config value goes
 through `_OVERRIDES`, so it passes the same checks as its key.  Every command
 is deterministic under a fixed --seed.
 
-Exit codes: 0 success, 1 domain/value errors, 2 usage or I/O errors.
+Exit codes: 0 success, 1 domain/value errors or out of memory, 2 usage or I/O
+errors (`error_boundary`, which the scripts share).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import csv
 import dataclasses
 import os
 import sys
+from typing import Callable
 
 from . import analysis, classifier, dataset, hlc, pipeline, scene
 from .config import ExperimentConfig, default_config_json, load_config
@@ -231,13 +233,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def error_boundary(command: Callable[..., int], *args) -> int:
+    """`command(*args)`, with an error it raises reported as one `error:` line.
+
+    The commands and the scripts under `scripts/` run behind it.  Value
+    errors (DomainError among them) and running out of memory give exit
+    code 1, I/O errors 2.
+    """
+    try:
+        return command(*args)
+    except (ValueError, MemoryError, OSError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return 2 if isinstance(exc, OSError) else 1
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (ValueError, OSError) as exc:  # DomainError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc, ValueError) else 2
+    return error_boundary(args.func, args)
 
 
 if __name__ == "__main__":

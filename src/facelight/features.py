@@ -29,34 +29,30 @@ frame's features depend only on that frame, so the blocking is bit-identical
 to running the whole batch at once.
 
 The blocks run on one thread per CPU the process may use, at most
-`MAX_THREADS`; numpy releases the interpreter lock inside the ufuncs and
-matrix products that do the work.  Thread k takes blocks k, k + T, k + 2T,
-... and each block's features go to their own slot, so the result does not
-depend on scheduling or on the thread count.  The calling thread takes share
-0 and short-lived helpers the rest, joined before the call returns: glibc
-gives every thread that allocates its own malloc arena, which keeps about as
-much freed memory as the largest temporaries that thread made, so working in
-the caller saves one arena, and the per-array block rule above keeps what
-each helper's arena holds small.  The first failing block's exception is
-raised in the caller.
+`MAX_THREADS`, through `threads.run_shares`, the runner that head training
+shares: thread k takes blocks k, k + T, k + 2T, ... and each block's
+features go to their own slot, so the result does not depend on scheduling
+or on the thread count.  The calling thread takes share 0 and helpers the
+rest, joined before the call returns, and the first failing block's
+exception is raised in the caller.  The per-array block rule above keeps
+what each helper's malloc arena holds small.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, check
 from .preprocess import check_image, preprocess
+from .threads import MAX_THREADS, run_shares
+from .threads import cpu_count as _cpu_count  # a name of this module, so a test can set it
 
 CHANNELS = 3
 WEIGHT_STD = 0.1
 # the largest array a stage, or scene.face_screen_weights, makes for one block; fits a per-core L2
 BLOCK_BYTES = 512 * 1024
-MAX_THREADS = 4  # feature threads per call, the calling thread included
 # the shape of every FeatureParams array, in field order
 PARAM_SHAPES = {
     "conv1": (3, 3, 3, 3), "conv2": (3, 3, 3, 3), "conv3": (3, 3, 3, 3),
@@ -251,14 +247,6 @@ def block_frames(l_size: int, height: int, width: int) -> int:
     return max(1, BLOCK_BYTES // per_frame)
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
-
-
 def _block_features(imgs: np.ndarray, params: FeatureParams, l_size: int, p_grid: int) -> np.ndarray:
     block = cbam_forward(resblock_forward(preprocess(imgs, l_size), params), params)
     return pooled_features(block, p_grid)
@@ -280,27 +268,9 @@ def extract_features(images, params: FeatureParams, l_size: int, p_grid: int) ->
     step = block_frames(l_size, imgs.shape[1], imgs.shape[2])
     starts = range(0, imgs.shape[0], step)
     threads = min(_cpu_count(), MAX_THREADS, len(starts))
-    slots = [None] * len(starts)
-    failures = [None] * threads  # (block index, exception) of each thread's first failing block
-
-    def work(k: int) -> None:
-        for i in range(k, len(starts), threads):
-            try:
-                slots[i] = _block_features(imgs[starts[i] : starts[i] + step], params, l_size, p_grid)
-            except Exception as exc:  # raised again in the caller below
-                failures[k] = (i, exc)
-                return
-
-    helpers = [threading.Thread(target=work, args=(k,)) for k in range(1, threads)]
-    for helper in helpers:
-        helper.start()
-    try:
-        work(0)
-    finally:
-        for helper in helpers:
-            helper.join()
-    failed = [f for f in failures if f is not None]
-    if failed:
-        raise min(failed, key=lambda f: f[0])[1]
+    slots = run_shares(
+        lambda k, i: _block_features(imgs[starts[i] : starts[i] + step], params, l_size, p_grid),
+        [range(k, len(starts), threads) for k in range(threads)],
+    )
     out = np.concatenate(slots, axis=0)
     return out if batched else out[0]

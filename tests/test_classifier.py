@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from oracle_nets import AdamState, adam_step, cross_entropy, one_hot, train_two_tier_reference
 
+from facelight import classifier, threads
 from facelight.classifier import (
     ADAM_BLOCK,
     MlpHead,
@@ -27,6 +29,7 @@ from facelight.classifier import (
 from facelight.errors import DomainError
 from facelight.features import FeatureParams, feature_length
 from facelight.labels import UNKNOWN, LabelLayout, accuracy, split_label, unify_label
+from facelight.threads import MAX_THREADS
 
 TABLE_LAYOUT = LabelLayout((6, 6, 6, 8, 2, 1))
 
@@ -344,6 +347,169 @@ def test_train_one_app_head_matches_reference_bits():
     for got, want in zip([model.discriminator] + model.predictors, heads, strict=True):
         for name, arr in got.params().items():
             assert arr.tobytes() == getattr(want, name).tobytes(), name
+
+
+# --- training on threads ----------------------------------------------------------
+
+# (3, 2) and (3, 1, 2) as above, and more categories than MAX_THREADS
+THREAD_LAYOUTS = [(3, 2), (3, 1, 2), (2, 3, 1, 2, 3, 2)]
+
+
+def _cpus(monkeypatch, cpus):
+    """Training sees `cpus` CPUs and a BLAS that runs on one thread."""
+    monkeypatch.setattr(classifier, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(classifier, "_blas_threads", lambda: 1)
+
+
+@pytest.mark.parametrize("counts", THREAD_LAYOUTS)
+@pytest.mark.parametrize("cpus", [1, 2, MAX_THREADS])
+def test_threaded_training_matches_reference_bits(counts, cpus, monkeypatch):
+    _cpus(monkeypatch, cpus)
+    layout = LabelLayout(counts)
+    rng = np.random.default_rng(len(counts))
+    x, y = _toy_features(rng, 7, _padded_centers(layout, p_grid=2), spread=0.3)
+    # switching often, so that the heads interleave inside every step
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        model, log = train_two_tier(x, y, layout, epochs=2, batch_size=4, lr=1e-2, seed=8, p_grid=2)
+    finally:
+        sys.setswitchinterval(switch)
+    heads, want_log = train_two_tier_reference(x, y, layout, epochs=2, batch_size=4, lr=1e-2, seed=8)
+    assert log == want_log
+    for got, want in zip([model.discriminator] + model.predictors, heads, strict=True):
+        for name, arr in got.params().items():
+            assert arr.tobytes() == getattr(want, name).tobytes(), name
+
+
+def _spy_heads(monkeypatch, fail=()):
+    """Record the thread that trains each head; the heads named in `fail` raise."""
+    seen = {}
+    train_head = classifier._train_head
+
+    def spy(head, flat, x, y, orders, batch_size, lr, workspace, head_name):
+        seen[head_name] = threading.current_thread()
+        if head_name in fail:
+            raise DomainError(f"failed {head_name}")
+        return train_head(head, flat, x, y, orders, batch_size, lr, workspace, head_name)
+
+    monkeypatch.setattr(classifier, "_train_head", spy)
+    return seen
+
+
+def test_training_threads_per_call(monkeypatch):
+    # the discriminator and the one-output head on the caller, the other
+    # predictors striped over min(CPUs, MAX_THREADS, trained heads) - 1 helpers
+    layout = LabelLayout((2, 3, 1, 2, 3, 2))
+    x, y = _toy_features(np.random.default_rng(9), 3, _padded_centers(layout))
+    names = [layout.category_name(j) for j in range(6)]
+    for cpus, want in [(1, 1), (2, 2), (3, 3), (64, MAX_THREADS)]:
+        _cpus(monkeypatch, cpus)
+        seen = _spy_heads(monkeypatch)
+        train_two_tier(x, y, layout, epochs=1, seed=2, p_grid=1)
+        assert set(seen) == {"discriminator", *names}
+        assert len(set(seen.values())) == want
+        assert seen["discriminator"] is seen[names[2]] is threading.current_thread()
+        striped = [n for j, n in enumerate(names) if j != 2]  # category-2 has one app
+        for j, name in enumerate(striped):
+            assert seen[name] is seen[striped[j % (want - 1)] if want > 1 else "discriminator"]
+    # two heads with more than one output: never more than two threads
+    _cpus(monkeypatch, 64)
+    layout = LabelLayout((1, 2))
+    x, y = _toy_features(np.random.default_rng(9), 3, _padded_centers(layout))
+    seen = _spy_heads(monkeypatch)
+    train_two_tier(x, y, layout, epochs=1, seed=2, p_grid=1)
+    assert len(set(seen.values())) == 2
+
+
+def test_training_on_one_thread_beside_a_threaded_blas(monkeypatch):
+    # a BLAS on several threads already fills the CPUs: every head on the caller
+    _cpus(monkeypatch, 64)
+    monkeypatch.setattr(classifier, "_blas_threads", lambda: 2)
+    layout = LabelLayout((2, 3, 1, 2, 3, 2))
+    x, y = _toy_features(np.random.default_rng(9), 3, _padded_centers(layout))
+    seen = _spy_heads(monkeypatch)
+    train_two_tier(x, y, layout, epochs=1, seed=2, p_grid=1)
+    assert set(seen.values()) == {threading.current_thread()}
+
+
+@pytest.mark.parametrize(
+    "env, want",
+    [
+        ({}, 6),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1),
+        ({"OMP_NUM_THREADS": "3"}, 3),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "0"}, 6),
+    ],
+)
+def test_blas_threads_as_openblas_reads_them(env, want, monkeypatch):
+    monkeypatch.setattr(threads, "cpu_count", lambda: 6)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert threads.blas_threads() == want
+
+
+@pytest.mark.parametrize("cpus", [1, 2, MAX_THREADS])
+def test_failing_head_raises_in_caller(cpus, monkeypatch):
+    _cpus(monkeypatch, cpus)
+    layout = LabelLayout((2, 3, 1, 2, 3, 2))
+    x, y = _toy_features(np.random.default_rng(10), 3, _padded_centers(layout))
+    before = threading.active_count()
+    # one predictor fails, on a helper once there are two threads or more
+    seen = _spy_heads(monkeypatch, fail={"category-4"})
+    with pytest.raises(DomainError, match="failed category-4"):
+        train_two_tier(x, y, layout, epochs=1, seed=2, p_grid=1)
+    assert threading.active_count() == before
+    assert (seen["category-4"] is threading.current_thread()) == (cpus == 1)
+    # two heads fail, on different helpers at MAX_THREADS: the lower index wins
+    _spy_heads(monkeypatch, fail={"category-4", "category-3"})
+    with pytest.raises(DomainError, match="failed category-3"):
+        train_two_tier(x, y, layout, epochs=1, seed=2, p_grid=1)
+    assert threading.active_count() == before
+    # and the discriminator, on the caller, before any predictor
+    _spy_heads(monkeypatch, fail={"category-0", "discriminator"})
+    with pytest.raises(DomainError, match="failed discriminator"):
+        train_two_tier(x, y, layout, epochs=1, seed=2, p_grid=1)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_training_workspaces_allocated_once_by_the_caller(cpus, monkeypatch):
+    # 54 -> 512 -> 256 -> 7 heads: each thread's gradient, m and v buffers
+    # and Adam scratch exist before any head trains, and nothing else the
+    # size of a weight is allocated; m, v or gradients allocated per head or
+    # per step would either be missing at the start or raise the peak
+    _cpus(monkeypatch, cpus)
+    layout = LabelLayout((7, 7))
+    x, y = _toy_features(np.random.default_rng(11), 4, _padded_centers(layout, p_grid=4))
+    n_threads = min(cpus, MAX_THREADS, 3)
+
+    def head_bytes(out_dim):
+        return 8 * (512 * 54 + 512 + 256 * 512 + 256 + out_dim * 256 + out_dim)
+
+    model_bytes = head_bytes(2) + 2 * head_bytes(7)
+    workspaces = n_threads * (3 * head_bytes(7) + 2 * 8 * ADAM_BLOCK)
+    at_start = []
+    run_shares = classifier.run_shares
+
+    def spy(task, shares):
+        at_start.append(tracemalloc.get_traced_memory()[0])
+        return run_shares(task, shares)
+
+    monkeypatch.setattr(classifier, "run_shares", spy)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        train_two_tier(x, y, layout, epochs=2, batch_size=8, lr=1e-3, seed=3, p_grid=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert at_start[0] - before >= model_bytes + workspaces
+    assert peak - before <= model_bytes + workspaces + 2**20
 
 
 # --- prediction ------------------------------------------------------------------

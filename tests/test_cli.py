@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 
 from facelight import analysis, scene
 from facelight.classifier import _head_shapes, load_model
-from facelight.cli import main
+from facelight.cli import error_boundary, main
 from facelight.config import config_from_dict
 from facelight.dataset import read_split
 from facelight.features import PARAM_SHAPES, feature_length
@@ -770,3 +771,63 @@ def test_weight_curve_script_matches_cli(tmp_path, tiny_config, capsys):
     assert [line.split("diffuse peak x = ")[1].split(",")[0] for line in lines[:-1]] == [
         f"{p:+.3f}" for p in peaks
     ]
+
+
+# --- the error boundary that the commands and the scripts share -----------------
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("mdc_experiment.py", ["--config", "missing.json"]),
+        ("reproduce_weight_curves.py", ["--config", "missing.json"]),
+        ("run_attack_experiment.py", ["--config", "missing.json"]),
+        # this script takes no config: its output file is the one it cannot open
+        ("hlc_param_sweep.py", ["--seeds", 1, "--out", "missing/sweep.csv"]),
+    ],
+)
+def test_script_missing_file_one_error_line(tmp_path, name, argv):
+    proc = _run_script(name, *argv, cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: ") and "missing" in line
+
+
+def test_attack_script_bad_l_size_one_error_line(tmp_path):
+    proc = _run_script("run_attack_experiment.py", "--seeds", 0, "--l-size", 0, cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["error: l_size must be >= 1, got 0"]
+
+
+NO_MEMORY = "Unable to allocate 7.15 TiB for an array with shape (1000000000, 32, 3, 8192)"
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError(NO_MEMORY)  # numpy's message for a failed allocation; nothing is allocated here
+
+
+def test_command_out_of_memory_one_error_line(tmp_path, tiny_config, capsys, monkeypatch):
+    monkeypatch.setattr("facelight.pipeline.mdc", _out_of_memory)
+    assert run("mdc", "--config", tiny_config, "--seed", "0", "--out", str(tmp_path / "mdc.csv")) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {NO_MEMORY}"]
+    assert not (tmp_path / "mdc.csv").exists()
+
+
+def test_error_boundary_names_a_bare_memory_error(capsys):
+    def command():
+        raise MemoryError
+
+    assert error_boundary(command) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: MemoryError"]
+
+
+def test_script_out_of_memory_one_error_line(tmp_path, tiny_config, capsys, monkeypatch):
+    # the script runs in this process, so that its library call can be replaced
+    monkeypatch.setattr("facelight.pipeline.mdc_seeds", _out_of_memory)
+    monkeypatch.setattr(sys, "argv", ["mdc_experiment.py", "--config", tiny_config, "--seeds", "1"])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_path(str(SCRIPTS / "mdc_experiment.py"), run_name="__main__")
+    assert stop.value.code == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {NO_MEMORY}"]
