@@ -14,8 +14,7 @@ import sys
 
 import numpy as np
 
-from facelight.cli import error_boundary
-from facelight.config import ExperimentConfig, load_config
+from facelight.cli import _load_config, error_boundary
 from facelight.pipeline import mdc_seeds
 
 
@@ -27,7 +26,7 @@ def main():
     if args.seeds < 1:
         parser.error(f"--seeds must be >= 1, got {args.seeds}")
 
-    cfg = load_config(args.config) if args.config else ExperimentConfig()
+    cfg = _load_config(args)
     table = [result.min_p for result in mdc_seeds(cfg, range(args.seeds))]
     medians = np.median(table, axis=0)
     print("fraction  median_min_p")

@@ -15,8 +15,7 @@ import time
 
 import numpy as np
 
-from facelight.cli import error_boundary
-from facelight.config import ExperimentConfig, load_config
+from facelight.cli import _load_config, error_boundary
 from facelight.dataset import generate_dataset
 from facelight.pipeline import run_attack
 
@@ -28,11 +27,10 @@ def main():
     parser.add_argument("--l-size", dest="l_size", type=int, default=None)
     args = parser.parse_args()
 
+    base = _load_config(args)
     pres, posts = [], []
     for seed in args.seeds:
-        cfg = load_config(args.config) if args.config else ExperimentConfig()
-        l_size = cfg.l_size if args.l_size is None else args.l_size
-        cfg = dataclasses.replace(cfg, seed=seed, l_size=l_size)  # re-runs the config's range checks
+        cfg = dataclasses.replace(base, seed=seed)  # re-runs the config's range checks
         t0 = time.perf_counter()
         result = run_attack(cfg, generate_dataset(cfg))
         pres.append(result.pre_accuracy)

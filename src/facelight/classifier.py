@@ -58,7 +58,7 @@ import numpy as np
 
 from .errors import DomainError
 from .features import PARAM_SHAPES, FeatureParams, extract_features, feature_length
-from .labels import LabelLayout, split_label, unify_label
+from .labels import LabelLayout, split_label
 from .threads import MAX_THREADS, run_shares
 # names of this module, so that a test can set them
 from .threads import blas_threads as _blas_threads, cpu_count as _cpu_count
@@ -258,6 +258,14 @@ class TwoTierModel:
             raise DomainError("predictor count must match the category count")
         if self.discriminator.out_dim != self.layout.num_categories:
             raise DomainError("discriminator output dim must match the category count")
+        # prediction adds a predictor's argmax to its category's offset, so each
+        # predictor's outputs must be exactly its category's applications
+        counts, in_dim = self.layout.counts, self.discriminator.in_dim
+        for j, head in enumerate(self.predictors):
+            if head.out_dim != counts[j]:
+                raise DomainError(f"predictor {j} output dim {head.out_dim} must match its {counts[j]} apps")
+            if head.in_dim != in_dim:
+                raise DomainError(f"predictor {j} input dim {head.in_dim} must match the discriminator's {in_dim}")
 
 
 def _train_head(
@@ -386,7 +394,7 @@ def predict_features(model: TwoTierModel, features: np.ndarray) -> np.ndarray:
         sel = cats == j
         app_probs = model.predictors[j].forward(x[sel])
         ks = np.argmax(app_probs, axis=1)
-        out[sel] = [unify_label(int(j), int(k), model.layout) for k in ks]
+        out[sel] = model.layout.offsets[j] + ks
     return out
 
 

@@ -75,7 +75,8 @@ def cmd_simulate_weights(args) -> int:
     curves = pipeline.weight_curves(_load_config(args))
     scene.write_weight_curves_csv(args.out, curves)
     for i, curve in enumerate(curves):
-        print(f"point {i} g_d_peak_x {scene.peak_location(curve, 'g_d')!r}")
+        peak, width = scene.peak_location(curve, "g_d"), scene.fwhm(curve, "g_d")
+        print(f"point {i} g_d_peak_x {peak!r} g_d_fwhm {width!r}")
     return 0
 
 

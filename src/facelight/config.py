@@ -33,6 +33,8 @@ class ScreenSection:
 
     def __post_init__(self):
         check_section(self, "screen")
+        if not math.hypot(*self.normal) > 0.0:
+            raise DomainError(f"screen.normal must be non-zero, got {[float(v) for v in self.normal]}")
 
 
 @dataclass
@@ -102,6 +104,8 @@ class WeightSimSection:
 
     def __post_init__(self):
         check_section(self, "weight_sim")
+        if not self.x_min < self.x_max:
+            raise DomainError(f"weight_sim.x_min must be < weight_sim.x_max, got {self.x_min} >= {self.x_max}")
         for i, (_, y, nx, ny) in enumerate(self.points):
             if not math.hypot(nx, ny) > 0.0:
                 raise DomainError(f"weight_sim.points[{i}] needs a non-zero normal, got ({nx}, {ny})")

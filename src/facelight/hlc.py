@@ -254,7 +254,7 @@ def write_label_sequence(path, seq) -> None:
             writer.writerow([t, v])
 
 
-def read_label_sequence(path, timestep: float = DEFAULT_TIMESTEP) -> LabelSequence:
+def read_label_sequence(path) -> LabelSequence:
     """Read what `write_label_sequence` writes; each row's t must be its 1-based row number."""
     with open(path, "r", newline="", encoding="ascii") as fh:
         reader = csv.reader(fh)
@@ -275,7 +275,7 @@ def read_label_sequence(path, timestep: float = DEFAULT_TIMESTEP) -> LabelSequen
     if not labels:
         raise DomainError(f"{path}: empty label sequence")
     try:
-        return LabelSequence(tuple(labels), timestep)
+        return LabelSequence(tuple(labels))
     except DomainError as exc:
         raise DomainError(f"{path}: {exc}") from None
 

@@ -286,11 +286,12 @@ def simulate_weight_curves(
 ) -> List[WeightCurve]:
     """Importance-weight curves along a screen segment.
 
-    The screen is the segment of `unit_xs` on the x axis with normal +y; the
-    camera sits on the x axis at `camera_x`.  Each entry of `points` is a
-    (position, normal) pair with y != 0; 2-vectors are taken in the x-y
-    simulation plane, 3-vectors allow out-of-plane normals.  Returns one
-    curve of (G_d, G_s) per point, sampled at every screen unit.
+    The screen is the segment of `unit_xs`, strictly increasing, on the x
+    axis with normal +y; the camera sits on the x axis at `camera_x`.  Each
+    entry of `points` is a (position, normal) pair with y != 0; 2-vectors
+    are taken in the x-y simulation plane, 3-vectors allow out-of-plane
+    normals.  Returns one curve of (G_d, G_s) per point, sampled at every
+    screen unit.
     """
     xs = np.asarray(unit_xs, dtype=float)
     if xs.ndim != 1:
@@ -298,6 +299,8 @@ def simulate_weight_curves(
     check("weight_sim.units", xs.size)
     if not np.all(np.isfinite(xs)):
         raise DomainError("screen unit positions must be finite")
+    if not np.all(np.diff(xs) > 0.0):
+        raise DomainError("screen unit positions must be strictly increasing")
     check("weight_sim.camera_x", camera_x)
     check("weight_sim.points", [np.ravel(pos).tolist() + np.ravel(nrm).tolist() for pos, nrm in points])
     screen_n = np.array([0.0, 1.0, 0.0])

@@ -528,6 +528,22 @@ def _tiny_model(layout, seed=0):
     )
 
 
+@pytest.mark.parametrize(
+    "in_dim, out_dim, named",
+    [
+        (feature_length(1), 2, r"predictor 1 output dim 2 must match its 3 apps"),
+        (feature_length(2), 3, rf"predictor 1 input dim {feature_length(2)} must match the discriminator's"),
+    ],
+)
+def test_mismatched_predictor_rejected_when_built(in_dim, out_dim, named):
+    # prediction offsets each predictor's argmax by its category's first label,
+    # so the model is checked once, when it is built
+    good = _tiny_model(LabelLayout((2, 3)))
+    bad = MlpHead.init(in_dim, out_dim, np.random.default_rng(1))
+    with pytest.raises(DomainError, match=named):
+        TwoTierModel(good.layout, good.feature_params, good.discriminator, [good.predictors[0], bad], 8, 1, 0)
+
+
 def test_predict_images_does_not_import_numpy_ma():
     # numpy 2.4 imports numpy.ma on the first np.unique call, about 16 ms that
     # every attack process would pay; prediction must not be what imports it

@@ -16,9 +16,9 @@ from facelight import analysis, scene
 from facelight.classifier import _head_shapes, load_model
 from facelight.cli import error_boundary, main
 from facelight.config import config_from_dict
-from facelight.dataset import read_split
+from facelight.dataset import generate_dataset, read_split
 from facelight.features import PARAM_SHAPES, feature_length
-from facelight.pipeline import mdc
+from facelight.pipeline import mdc, run_attack
 
 TINY = {
     "seed": 11,
@@ -58,7 +58,7 @@ def test_simulate_weights_writes_curves(tmp_path, tiny_config, capsys):
     assert printed.count("g_d_peak_x") == 3
 
 
-def test_simulate_weights_matches_library(tmp_path, tiny_config):
+def test_simulate_weights_matches_library(tmp_path, tiny_config, capsys):
     out = tmp_path / "cli.csv"
     run("simulate-weights", "--config", tiny_config, "--out", str(out))
     cfg = config_from_dict(json.loads(open(tiny_config).read()))
@@ -70,6 +70,8 @@ def test_simulate_weights_matches_library(tmp_path, tiny_config):
     lib_out = tmp_path / "lib.csv"
     scene.write_weight_curves_csv(lib_out, curves)
     assert out.read_bytes() == lib_out.read_bytes()
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" g_d_fwhm ")[1] for line in lines] == [repr(scene.fwhm(curve)) for curve in curves]
 
 
 def test_gen_dataset_manifest_and_determinism(tmp_path, tiny_config):
@@ -533,6 +535,8 @@ def test_mdc_bad_fraction_one_error_line(tmp_path, tiny_config, capsys, fraction
         ("weight_sim", "x_max", float("inf"), "weight_sim.x_max must be finite, got inf"),
         ("weight_sim", "camera_x", float("-inf"), "weight_sim.camera_x must be finite, got -inf"),
         ("weight_sim", "points", [[0.0, float("nan"), 0.0, -1.0]], "weight_sim.points must be finite"),
+        ("weight_sim", "x_min", 0.5, "weight_sim.x_min must be < weight_sim.x_max, got 0.5 >= 0.3"),
+        ("screen", "normal", [0, 0, 0], "screen.normal must be non-zero, got [0.0, 0.0, 0.0]"),
     ],
 )
 def test_bad_config_value_one_error_line(tmp_path, capsys, section, key, value, named):
@@ -717,6 +721,23 @@ def test_attack_script_matches_run_all(run_all_noisy, tmp_path):
     assert lines[0].startswith(expected)
 
 
+def test_attack_script_l_size_flag_overrides_config(tmp_path, capsys, monkeypatch):
+    # the script runs in this process; its --l-size differs from the file's l_size
+    doc = {**NOISY, "l_size": 8}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(doc))
+    cfg = dataclasses.replace(config_from_dict(doc), seed=5, l_size=16)
+    result = run_attack(cfg, generate_dataset(cfg))
+    argv = ["run_attack_experiment.py", "--config", str(config_path), "--l-size", "16", "--seeds", "5"]
+    monkeypatch.setattr(sys, "argv", argv)
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_path(str(SCRIPTS / "run_attack_experiment.py"), run_name="__main__")
+    assert not stop.value.code  # exit status 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(f"seed 5: pre {result.pre_accuracy:.4f}  post {result.post_accuracy:.4f}  ")
+    assert lines[1] == f"median over 1 seeds: pre {result.pre_accuracy:.4f}  post {result.post_accuracy:.4f}"
+
+
 def test_mdc_script_matches_cli(tmp_path, tiny_config):
     assert run("mdc", "--config", tiny_config, "--seed", "0", "--out", str(tmp_path / "mdc.csv")) == 0
     rows = [line.split(",") for line in (tmp_path / "mdc.csv").read_text().splitlines()[1:]]
@@ -763,23 +784,12 @@ def test_hlc_sweep_script_rejects_out_of_range(tmp_path, flag, value):
     assert not (tmp_path / "sweep.csv").exists()
 
 
-def test_weight_curve_script_matches_cli(tmp_path, tiny_config, capsys):
-    assert run("simulate-weights", "--config", tiny_config, "--out", str(tmp_path / "cli.csv")) == 0
-    peaks = [float(line.split()[-1]) for line in capsys.readouterr().out.splitlines()]
-    lines = _script("reproduce_weight_curves.py", "--config", tiny_config, "--out", "script.csv", cwd=tmp_path)
-    assert (tmp_path / "script.csv").read_bytes() == (tmp_path / "cli.csv").read_bytes()
-    assert [line.split("diffuse peak x = ")[1].split(",")[0] for line in lines[:-1]] == [
-        f"{p:+.3f}" for p in peaks
-    ]
-
-
 # --- the error boundary that the commands and the scripts share -----------------
 
 @pytest.mark.parametrize(
     "name, argv",
     [
         ("mdc_experiment.py", ["--config", "missing.json"]),
-        ("reproduce_weight_curves.py", ["--config", "missing.json"]),
         ("run_attack_experiment.py", ["--config", "missing.json"]),
         # this script takes no config: its output file is the one it cannot open
         ("hlc_param_sweep.py", ["--seeds", 1, "--out", "missing/sweep.csv"]),

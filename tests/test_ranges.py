@@ -208,6 +208,13 @@ def test_non_finite_unit_positions_rejected():
         simulate_weight_curves([-0.3, NAN, 0.3], [POINT], 0.0)
 
 
+@pytest.mark.parametrize("xs", [[0.3, 0.0, -0.3], [0.1, 0.1, 0.1]])
+def test_unit_positions_not_increasing_rejected(xs):
+    # the half-maximum width reads the positions in ascending order
+    with pytest.raises(DomainError, match="screen unit positions must be strictly increasing"):
+        simulate_weight_curves(xs, [POINT], 0.0)
+
+
 def test_zero_length_normal_is_a_geometry_error():
     with pytest.raises(GeometryError, match="zero-length"):
         simulate_weight_curves(np.linspace(-0.3, 0.3, 5), [((0.0, 0.5), (0.0, 0.0))], 0.0)
