@@ -8,10 +8,11 @@ feature extractor underneath stays frozen.  Prediction takes the
 discriminator argmax (ties break to the lowest index), then the argmax of the
 selected category's predictor, and fuses the pair into a unified label.
 
-Training works on flat buffers.  Each head's six arrays are views of one
-flat float64 parameter buffer; `MlpHead.backward` writes the gradients with
-`out=` into a flat gradient buffer of the same layout, and each step makes
-one `adam_update` call over the flat buffers.  `adam_update` runs all of
+A head's six arrays are views of one flat float64 buffer, `MlpHead.flat`,
+end to end in `_PARAM_NAMES` order; training, its gradients and the model
+file all use this layout.  `MlpHead.backward` writes the gradients with
+`out=` into a gradient head's views, and each step makes one `adam_update`
+call over the flat buffers.  `adam_update` runs all of
 Adam's elementwise passes over one L2-sized block before the next, in the
 whole-array update's evaluation order; Adam is elementwise, so where the
 blocks start changes no bit, and the trained weights and the loss log equal
@@ -36,14 +37,14 @@ head zeroes its moments in it, and the caller frees them all after the
 join: buffers allocated per head on a helper would stay in that thread's
 malloc arena after they are freed.
 
-A model file is laid out like a PPM: one ASCII line of JSON header (kind,
-seed, grid sizes, label layout), then the raw little-endian float64 weights
-of the discriminator and of each predictor in category order, each head's
-arrays in `_PARAM_NAMES` order and C order.  Shapes follow from the layout,
-`p_grid` and `HIDDEN`, and the frozen extractor is `FeatureParams.from_seed`
-of the seed, so neither is stored.  Loading checks the header, that the
+A model holds only the seed of its frozen extractor, which is
+`FeatureParams.from_seed` of it.  A model file is laid out like a PPM: one
+ASCII line of JSON header (kind, seed, grid sizes, label layout), then the
+flat buffer of the discriminator and of each predictor in category order,
+as raw little-endian float64.  Shapes follow from the layout, `p_grid` and
+`HIDDEN`, so they are not stored.  Loading checks the header, that the
 weight bytes number exactly what it implies, and that every weight is
-finite; it reads each array straight into its own C-contiguous buffer.
+finite; it reads each head straight into its own buffer.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -149,49 +150,43 @@ def _head_size(in_dim: int, out_dim: int) -> int:
     return sum(math.prod(shape) for shape in _head_shapes(in_dim, out_dim).values())
 
 
-def _views(flat: np.ndarray, in_dim: int, out_dim: int) -> Dict[str, np.ndarray]:
-    """One head's parameter-shaped views of `flat`, consecutive in `_PARAM_NAMES` order."""
-    views, start = {}, 0
-    for name, shape in _head_shapes(in_dim, out_dim).items():
-        size = math.prod(shape)
-        views[name] = flat[start : start + size].reshape(shape)
-        start += size
-    return views
-
-
-@dataclass
+@dataclass(frozen=True)
 class MlpHead:
-    """Dense in -> 512 -> 256 -> out head with ReLU activations and softmax output."""
+    """Dense in -> 512 -> 256 -> out head with ReLU activations and softmax output.
 
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    w3: np.ndarray
-    b3: np.ndarray
+    `flat` is a C-contiguous buffer of `_head_size(in_dim, out_dim)` floats;
+    `w1 ... b3` are views of it, consecutive in `_PARAM_NAMES` order.
+    """
+
+    flat: np.ndarray
+    in_dim: int
+    out_dim: int
+    w1: np.ndarray = field(init=False)
+    b1: np.ndarray = field(init=False)
+    w2: np.ndarray = field(init=False)
+    b2: np.ndarray = field(init=False)
+    w3: np.ndarray = field(init=False)
+    b3: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        shapes = _head_shapes(self.in_dim, self.out_dim)
+        ends = np.cumsum([math.prod(shape) for shape in shapes.values()])
+        if self.flat.shape != (ends[-1],) or not self.flat.flags.c_contiguous:
+            raise DomainError(f"a {self.in_dim} -> {self.out_dim} head needs a C-contiguous buffer of {ends[-1]} floats")
+        for (name, shape), part in zip(shapes.items(), np.split(self.flat, ends[:-1])):
+            object.__setattr__(self, name, part.reshape(shape))
 
     @classmethod
-    def init(cls, in_dim: int, out_dim: int, rng: np.random.Generator, flat: np.ndarray = None) -> "MlpHead":
+    def init(cls, in_dim: int, out_dim: int, rng: np.random.Generator) -> "MlpHead":
         """He-style init: Gaussian with std sqrt(2 / fan_in), zero biases.
 
         The weights are drawn in w1, w2, w3 order; a weight's fan_in is its
-        column count.  The arrays are views of `flat`, a C-contiguous buffer
-        of `_head_size(in_dim, out_dim)` floats (a fresh one if None).
+        column count.
         """
-        if flat is None:
-            flat = np.empty(_head_size(in_dim, out_dim))
-        params = _views(flat, in_dim, out_dim)
-        for name, arr in params.items():
+        head = cls(np.empty(_head_size(in_dim, out_dim)), in_dim, out_dim)
+        for arr in head.params().values():
             arr[...] = rng.normal(0.0, np.sqrt(2.0 / arr.shape[1]), size=arr.shape) if arr.ndim == 2 else 0.0
-        return cls(**params)
-
-    @property
-    def in_dim(self) -> int:
-        return self.w1.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.w3.shape[0]
+        return head
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Class probabilities for a (N, in_dim) batch or a single vector."""
@@ -206,7 +201,7 @@ class MlpHead:
         self, x: np.ndarray, target_idx: np.ndarray
     ) -> Tuple[float, Dict[str, np.ndarray]]:
         """Mean cross-entropy over the batch and its analytic parameter gradients."""
-        grads = {name: np.empty_like(p) for name, p in self.params().items()}
+        grads = MlpHead(np.empty_like(self.flat), self.in_dim, self.out_dim).params()
         return self.backward(x, target_idx, grads), grads
 
     def backward(self, x: np.ndarray, target_idx: np.ndarray, grads: Dict[str, np.ndarray]) -> float:
@@ -241,12 +236,19 @@ class MlpHead:
         return {name: getattr(self, name) for name in _PARAM_NAMES}
 
 
+def _check_header(l_size: int, p_grid: int, seed: int) -> None:
+    """The model header's rules for its sizes and seed; DomainError naming the key otherwise."""
+    if not 1 <= p_grid <= l_size:
+        raise DomainError(f"key 'p_grid' must lie in [1, l_size = {l_size}], got {p_grid}")
+    if seed < 0:
+        raise DomainError(f"key 'seed' must be >= 0, got {seed}")
+
+
 @dataclass
 class TwoTierModel:
-    """Frozen feature extractor plus trained discriminator/predictor heads."""
+    """Trained discriminator/predictor heads over the frozen extractor of `seed`."""
 
     layout: LabelLayout
-    feature_params: FeatureParams
     discriminator: MlpHead
     predictors: List[MlpHead]
     l_size: int
@@ -254,6 +256,7 @@ class TwoTierModel:
     seed: int
 
     def __post_init__(self):
+        _check_header(self.l_size, self.p_grid, self.seed)
         if len(self.predictors) != self.layout.num_categories:
             raise DomainError("predictor count must match the category count")
         if self.discriminator.out_dim != self.layout.num_categories:
@@ -267,30 +270,27 @@ class TwoTierModel:
             if head.in_dim != in_dim:
                 raise DomainError(f"predictor {j} input dim {head.in_dim} must match the discriminator's {in_dim}")
 
+    @property
+    def feature_params(self) -> FeatureParams:
+        """The frozen feature extractor, drawn from the seed on each read."""
+        return FeatureParams.from_seed(self.seed)
+
 
 def _train_head(
-    head: MlpHead,
-    flat: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
-    orders: List[np.ndarray],
-    batch_size: int,
-    lr: float,
-    workspace: Tuple[np.ndarray, np.ndarray],
-    head_name: str,
+    head: MlpHead, x: np.ndarray, y: np.ndarray, orders: List[np.ndarray], batch_size: int, lr: float,
+    workspace: Tuple[np.ndarray, np.ndarray], head_name: str,
 ) -> List[dict]:
-    """Train `head`, whose arrays are views of `flat`, on the rows of `x` and
-    `y` in each epoch's order; returns its loss rows.
+    """Train `head` on the rows of `x` and `y` in each epoch's order; returns its loss rows.
 
-    `workspace` is a (3, >= flat.size) gradient, m and v buffer and the Adam
-    scratch; the moments start at zero, and nothing the size of a weight is
-    allocated.
+    `workspace` is a (3, >= head.flat.size) gradient, m and v buffer and the
+    Adam scratch; the moments start at zero, and nothing the size of a weight
+    is allocated.
     """
     buffers, scratch = workspace
-    grad, m, v = buffers[:, : flat.size]
+    grad, m, v = buffers[:, : head.flat.size]
     m.fill(0.0)
     v.fill(0.0)
-    grads = _views(grad, head.in_dim, head.out_dim)
+    grads = MlpHead(grad, head.in_dim, head.out_dim).params()
     # a one-output softmax is exactly 1, so its loss is -0.0 and every gradient
     # and Adam step is exactly zero: such a head only logs its batches
     fixed = head.out_dim == 1
@@ -303,7 +303,7 @@ def _train_head(
                 idx = order[start : start + batch_size]
                 loss = head.backward(x[idx], y[idx], grads)
                 t += 1
-                adam_update(flat, grad, m, v, t, lr, scratch)
+                adam_update(head.flat, grad, m, v, t, lr, scratch)
             log.append({"head": head_name, "epoch": epoch, "batch": b, "loss": loss})
     return log
 
@@ -326,9 +326,16 @@ def train_two_tier(
     unified application labels.  The discriminator trains on the category part
     of every sample; each predictor trains only on its own category's samples.
     Deterministic for a fixed seed, and the same for any thread count (see the
-    module notes).  Returns the model and the per-batch loss log (head, epoch,
-    batch, loss), the discriminator's rows first, then each predictor's.
+    module notes).  The model's extractor is `FeatureParams.from_seed(seed)`;
+    a `feature_params` that differs from it is an error.  Returns the model and
+    the per-batch loss log (head, epoch, batch, loss), the discriminator's rows
+    first, then each predictor's.
     """
+    _check_header(l_size, p_grid, seed)
+    if feature_params is not None:
+        seeded = FeatureParams.from_seed(seed)
+        if any(getattr(feature_params, n).tobytes() != getattr(seeded, n).tobytes() for n in PARAM_SHAPES):
+            raise DomainError(f"a model stores only its seed, so feature_params must be FeatureParams.from_seed({seed})")
     x = np.asarray(features, dtype=float)
     if x.ndim != 2 or x.shape[0] == 0:
         raise DomainError("features must be a non-empty (N, D) array")
@@ -339,8 +346,6 @@ def train_two_tier(
     cats = np.array([j for j, _ in pairs], dtype=int)
     apps = np.array([k for _, k in pairs], dtype=int)
 
-    if feature_params is None:
-        feature_params = FeatureParams.from_seed(seed)
     if x.shape[1] != feature_length(p_grid):
         raise DomainError(
             f"feature dim {x.shape[1]} does not match pooling grid {p_grid} "
@@ -354,8 +359,7 @@ def train_two_tier(
     # the discriminator's batch orders, then each predictor's
     rng = np.random.default_rng(seed)
     outs = [layout.num_categories, *layout.counts]
-    flats = [np.empty(_head_size(x.shape[1], n)) for n in outs]
-    heads = [MlpHead.init(x.shape[1], n, rng, flat) for n, flat in zip(outs, flats)]
+    heads = [MlpHead.init(x.shape[1], n, rng) for n in outs]
     rows = [np.arange(x.shape[0])] + [np.flatnonzero(cats == j) for j in range(layout.num_categories)]
     orders = [[r[rng.permutation(r.size)] for _ in range(epochs)] for r in rows]
     targets = [cats] + [apps] * layout.num_categories
@@ -371,15 +375,13 @@ def train_two_tier(
     shares += [helped[k :: threads - 1] for k in range(threads - 1)]
     # allocated here, not per head on the helpers, whose malloc arenas would
     # keep the freed buffers; freed when this call returns
-    largest = max(flat.size for flat in flats)
+    largest = max(head.flat.size for head in heads)
     workspaces = [(np.empty((3, largest)), np.empty((2, min(largest, ADAM_BLOCK)))) for _ in range(threads)]
     logs = run_shares(
-        lambda k, i: _train_head(
-            heads[i], flats[i], x, targets[i], orders[i], batch_size, lr, workspaces[k], names[i]
-        ),
+        lambda k, i: _train_head(heads[i], x, targets[i], orders[i], batch_size, lr, workspaces[k], names[i]),
         shares,
     )
-    model = TwoTierModel(layout, feature_params, heads[0], heads[1:], l_size, p_grid, seed)
+    model = TwoTierModel(layout, heads[0], heads[1:], l_size, p_grid, seed)
     return model, [row for log in logs for row in log]
 
 
@@ -406,12 +408,6 @@ def predict_images(model: TwoTierModel, images) -> np.ndarray:
 
 def save_model(model: TwoTierModel, path) -> None:
     """Write `model` as one JSON header line, then its raw little-endian float64 weights."""
-    reference = FeatureParams.from_seed(model.seed)
-    if any(getattr(model.feature_params, n).tobytes() != getattr(reference, n).tobytes() for n in PARAM_SHAPES):
-        raise DomainError(
-            f"a model file stores only the feature seed, so feature_params must be "
-            f"FeatureParams.from_seed({model.seed})"
-        )
     header = {
         "kind": MODEL_KIND,
         "seed": model.seed,
@@ -426,8 +422,7 @@ def save_model(model: TwoTierModel, path) -> None:
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode("ascii") + b"\n")
         for head in [model.discriminator, *model.predictors]:
-            for name in _PARAM_NAMES:
-                fh.write(np.asarray(getattr(head, name), dtype="<f8").tobytes())
+            fh.write(head.flat.astype("<f8", copy=False))
 
 
 def _field(doc, key: str, kind: type, where: str):
@@ -475,23 +470,22 @@ def _read_model(fh, path) -> TwoTierModel:
         raise DomainError(f"{where}: {exc}") from exc
     l_size = _field(doc, "l_size", int, path)
     p_grid = _field(doc, "p_grid", int, path)
-    if not 1 <= p_grid <= l_size:
-        raise DomainError(f"{path}: key 'p_grid' must lie in [1, l_size = {l_size}], got {p_grid}")
     seed = _field(doc, "seed", int, path)
-    if seed < 0:
-        raise DomainError(f"{path}: key 'seed' must be >= 0, got {seed}")
-    shapes = [_head_shapes(feature_length(p_grid), n) for n in (layout.num_categories, *layout.counts)]
-    expected = 8 * sum(math.prod(shape) for head in shapes for shape in head.values())
+    try:
+        _check_header(l_size, p_grid, seed)
+    except DomainError as exc:
+        raise DomainError(f"{path}: {exc}") from exc
+    in_dim, outs = feature_length(p_grid), (layout.num_categories, *layout.counts)
+    expected = 8 * sum(_head_size(in_dim, n) for n in outs)
     size = os.fstat(fh.fileno()).st_size - fh.tell()
     if size != expected:
         raise DomainError(f"{path}: holds {size} weight bytes, the header's layout needs {expected}")
     heads = []
-    for head in shapes:
-        arrays = {name: np.empty(shape, dtype="<f8") for name, shape in head.items()}
-        for arr in arrays.values():  # each array its own C-contiguous buffer, read in place
-            if fh.readinto(arr) != arr.nbytes:  # the file shrank after the size check
-                raise DomainError(f"{path}: ended inside the weights")
-            if not np.all(np.isfinite(arr)):
-                raise DomainError(f"{path}: holds non-finite weights")
-        heads.append(MlpHead(**arrays))
-    return TwoTierModel(layout, FeatureParams.from_seed(seed), heads[0], heads[1:], l_size, p_grid, seed)
+    for n in outs:
+        flat = np.empty(_head_size(in_dim, n), dtype="<f8")
+        if fh.readinto(flat) != flat.nbytes:  # the file shrank after the size check
+            raise DomainError(f"{path}: ended inside the weights")
+        if not np.all(np.isfinite(flat)):
+            raise DomainError(f"{path}: holds non-finite weights")
+        heads.append(MlpHead(flat, in_dim, n))
+    return TwoTierModel(layout, heads[0], heads[1:], l_size, p_grid, seed)

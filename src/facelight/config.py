@@ -8,7 +8,6 @@ no default; it must come from the file or the command line.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import List, Optional, Tuple, Union
 
@@ -16,7 +15,7 @@ from .errors import DomainError, check_section
 from .hlc import HlcParams
 from .labels import LabelLayout
 from .optics import OpticsConfig
-from .scene import FaceModel, Scene, screen_from_image
+from .scene import FaceModel, Scene, screen_from_image, weight_points
 
 import numpy as np
 
@@ -33,8 +32,6 @@ class ScreenSection:
 
     def __post_init__(self):
         check_section(self, "screen")
-        if not math.hypot(*self.normal) > 0.0:
-            raise DomainError(f"screen.normal must be non-zero, got {[float(v) for v in self.normal]}")
 
 
 @dataclass
@@ -106,11 +103,7 @@ class WeightSimSection:
         check_section(self, "weight_sim")
         if not self.x_min < self.x_max:
             raise DomainError(f"weight_sim.x_min must be < weight_sim.x_max, got {self.x_min} >= {self.x_max}")
-        for i, (_, y, nx, ny) in enumerate(self.points):
-            if not math.hypot(nx, ny) > 0.0:
-                raise DomainError(f"weight_sim.points[{i}] needs a non-zero normal, got ({nx}, {ny})")
-            if y == 0.0:
-                raise DomainError(f"weight_sim.points[{i}] needs y != 0 (off the screen line), got {y}")
+        weight_points([((x, y), (nx, ny)) for x, y, nx, ny in self.points])
 
 
 @dataclass

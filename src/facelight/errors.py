@@ -42,7 +42,7 @@ RANGES = {
     "exposure": ("be > 0 or 'auto'", lambda v: v == "auto" if isinstance(v, str) else v > 0),
     "camera": _FINITE_VECTOR,
     "screen.center": _FINITE_VECTOR,
-    "screen.normal": _FINITE_VECTOR,
+    "screen.normal": ("be finite and non-zero", lambda v: all(map(math.isfinite, v)) and math.hypot(*v) > 0),
     "screen.rows": _at_least(1),
     "screen.cols": _at_least(1),
     "screen.width": _POSITIVE,

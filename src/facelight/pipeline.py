@@ -38,12 +38,11 @@ def train(cfg: ExperimentConfig, records: Sequence[FrameRecord]) -> Tuple[TwoTie
     """Train the two-tier classifier on labeled frames; returns (model, loss log)."""
     images, labels = images_and_labels(records)
     seed = cfg.require_seed()
-    params = FeatureParams.from_seed(seed)
-    feats = extract_features(images, params, cfg.l_size, cfg.p_grid)
+    feats = extract_features(images, FeatureParams.from_seed(seed), cfg.l_size, cfg.p_grid)
     return train_two_tier(
         feats, labels, cfg.label_layout(),
         epochs=cfg.train.epochs, batch_size=cfg.train.batch_size, lr=cfg.train.learning_rate,
-        seed=seed, feature_params=params, l_size=cfg.l_size, p_grid=cfg.p_grid,
+        seed=seed, l_size=cfg.l_size, p_grid=cfg.p_grid,
     )
 
 

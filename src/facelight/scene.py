@@ -277,6 +277,22 @@ def _pad3(v) -> np.ndarray:
     raise DomainError(f"expected a 2- or 3-vector, got shape {v.shape}")
 
 
+def weight_points(points) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """(position, unit normal) 3-vectors of weight-curve (position, normal) points; a point
+    on the screen line (y = 0) or with a zero-length normal raises a GeometryError naming it."""
+    check("weight_sim.points", [np.ravel(pos).tolist() + np.ravel(nrm).tolist() for pos, nrm in points])
+    out = []
+    for i, (pos, nrm) in enumerate(points):
+        p = _pad3(pos)
+        if p[1] == 0.0:
+            raise GeometryError(f"weight_sim.points[{i}] needs y != 0 (off the screen line), got {p[1]}")
+        try:
+            out.append((p, unit(_pad3(nrm))))
+        except GeometryError:
+            raise GeometryError(f"weight_sim.points[{i}] has a zero-length normal, got {np.ravel(nrm).tolist()}") from None
+    return out
+
+
 def simulate_weight_curves(
     unit_xs: Sequence[float],
     points: Sequence[Tuple[Sequence[float], Sequence[float]]],
@@ -302,16 +318,12 @@ def simulate_weight_curves(
     if not np.all(np.diff(xs) > 0.0):
         raise DomainError("screen unit positions must be strictly increasing")
     check("weight_sim.camera_x", camera_x)
-    check("weight_sim.points", [np.ravel(pos).tolist() + np.ravel(nrm).tolist() for pos, nrm in points])
+    faces = weight_points(points)
     screen_n = np.array([0.0, 1.0, 0.0])
     cam = np.array([float(camera_x), 0.0, 0.0])
     epos = np.stack([xs, np.zeros_like(xs), np.zeros_like(xs)], axis=1)
     curves = []
-    for pos, nrm in points:
-        p = _pad3(pos)
-        if p[1] == 0.0:
-            raise GeometryError("face point lies on the screen line")
-        n = unit(_pad3(nrm))
+    for p, n in faces:
         cosines = reflection_cosines(p[None], n[None], epos, screen_n, cam)
         cos_e, cos_r, cos_m = (c[0] for c in cosines[:3])
         w = cos_e**g * cos_e * cos_e

@@ -243,6 +243,6 @@ def train_two_tier_reference(features, unified_labels, layout, epochs, batch_siz
                 loss, grads = head.loss_and_gradients(hx[idx], hy[idx])
                 for key in states:
                     new_p, states[key] = adam_step(getattr(head, key), grads[key], states[key], lr)
-                    setattr(head, key, new_p)
+                    getattr(head, key)[...] = new_p
                 log.append({"head": name, "epoch": epoch, "batch": b, "loss": loss})
     return heads, log

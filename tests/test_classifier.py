@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -387,11 +388,11 @@ def _spy_heads(monkeypatch, fail=()):
     seen = {}
     train_head = classifier._train_head
 
-    def spy(head, flat, x, y, orders, batch_size, lr, workspace, head_name):
+    def spy(head, x, y, orders, batch_size, lr, workspace, head_name):
         seen[head_name] = threading.current_thread()
         if head_name in fail:
             raise DomainError(f"failed {head_name}")
-        return train_head(head, flat, x, y, orders, batch_size, lr, workspace, head_name)
+        return train_head(head, x, y, orders, batch_size, lr, workspace, head_name)
 
     monkeypatch.setattr(classifier, "_train_head", spy)
     return seen
@@ -519,7 +520,6 @@ def _tiny_model(layout, seed=0):
     rng = np.random.default_rng(seed)
     return TwoTierModel(
         layout=layout,
-        feature_params=FeatureParams.from_seed(seed),
         discriminator=MlpHead.init(dim, layout.num_categories, rng),
         predictors=[MlpHead.init(dim, c, rng) for c in layout.counts],
         l_size=8,
@@ -541,7 +541,7 @@ def test_mismatched_predictor_rejected_when_built(in_dim, out_dim, named):
     good = _tiny_model(LabelLayout((2, 3)))
     bad = MlpHead.init(in_dim, out_dim, np.random.default_rng(1))
     with pytest.raises(DomainError, match=named):
-        TwoTierModel(good.layout, good.feature_params, good.discriminator, [good.predictors[0], bad], 8, 1, 0)
+        TwoTierModel(good.layout, good.discriminator, [good.predictors[0], bad], 8, 1, 0)
 
 
 def test_predict_images_does_not_import_numpy_ma():
@@ -552,14 +552,14 @@ def test_predict_images_does_not_import_numpy_ma():
         import sys
         import numpy as np
         from facelight.classifier import MlpHead, TwoTierModel, predict_images
-        from facelight.features import FeatureParams, feature_length
+        from facelight.features import feature_length
         from facelight.labels import LabelLayout
 
         layout = LabelLayout((3, 2))
         rng = np.random.default_rng(0)
         dim = feature_length(1)
         model = TwoTierModel(
-            layout, FeatureParams.from_seed(0), MlpHead.init(dim, 2, rng),
+            layout, MlpHead.init(dim, 2, rng),
             [MlpHead.init(dim, c, rng) for c in layout.counts], 8, 1, 0,
         )
         images = rng.integers(0, 256, size=(12, 6, 6, 3), dtype=np.uint8)
@@ -582,8 +582,8 @@ def test_forced_category_routes_to_its_predictor():
     layout = LabelLayout((3, 2))
     model = _tiny_model(layout)
     # freeze the discriminator to always choose category 0
-    model.discriminator.w3 = np.zeros_like(model.discriminator.w3)
-    model.discriminator.b3 = np.array([5.0, -5.0])
+    model.discriminator.w3[...] = 0.0
+    model.discriminator.b3[...] = [5.0, -5.0]
     feats = np.random.default_rng(4).normal(size=(20, feature_length(1)))
     pred = predict_features(model, feats)
     assert np.all(pred < layout.counts[0])
@@ -593,8 +593,7 @@ def test_argmax_tie_takes_lowest_index():
     layout = LabelLayout((2, 2))
     model = _tiny_model(layout)
     for head in [model.discriminator] + model.predictors:
-        for name in ("w1", "b1", "w2", "b2", "w3", "b3"):
-            setattr(head, name, np.zeros_like(getattr(head, name)))
+        head.flat[...] = 0.0
     feats = np.ones((3, feature_length(1)))
     pred = predict_features(model, feats)
     assert np.all(pred == 0)
@@ -605,8 +604,8 @@ def test_routing_invariant_to_discriminator_rescaling():
     model = _tiny_model(layout, seed=6)
     feats = np.random.default_rng(5).normal(size=(40, feature_length(1)))
     base = predict_features(model, feats)
-    model.discriminator.w3 = 3.0 * model.discriminator.w3
-    model.discriminator.b3 = 3.0 * model.discriminator.b3
+    model.discriminator.w3[...] *= 3.0
+    model.discriminator.b3[...] *= 3.0
     assert np.array_equal(predict_features(model, feats), base)
 
 
@@ -662,7 +661,6 @@ def _default_model(seed=2):
     rng = np.random.default_rng(seed)
     return TwoTierModel(
         layout=TABLE_LAYOUT,
-        feature_params=FeatureParams.from_seed(seed),
         discriminator=MlpHead.init(dim, TABLE_LAYOUT.num_categories, rng),
         predictors=[MlpHead.init(dim, c, rng) for c in TABLE_LAYOUT.counts],
         l_size=64,
@@ -685,13 +683,47 @@ def test_loaded_default_model_gives_identical_probabilities(tmp_path):
         assert np.array_equal(getattr(back.feature_params, name), getattr(model.feature_params, name))
 
 
-def test_save_model_rejects_feature_params_not_from_the_seed(tmp_path):
-    model = _tiny_model(LabelLayout((2, 3)), seed=1)
-    model.feature_params = FeatureParams.from_seed(2)
-    path = tmp_path / "model.bin"
+def test_training_rejects_feature_params_not_from_the_seed():
+    # a model holds only the seed of its extractor, so training with another one is an error
+    layout = LabelLayout((2, 3))
+    x, y = _toy_features(np.random.default_rng(3), 4, _padded_centers(layout))
     with pytest.raises(DomainError, match=r"feature_params must be FeatureParams\.from_seed\(1\)"):
-        save_model(model, path)
-    assert not path.exists()
+        train_two_tier(x, y, layout, epochs=1, seed=1, feature_params=FeatureParams.from_seed(2), p_grid=1)
+    model, log = train_two_tier(x, y, layout, epochs=1, seed=1, feature_params=FeatureParams.from_seed(1), p_grid=1)
+    assert (model.seed, log) == (1, train_two_tier(x, y, layout, epochs=1, seed=1, p_grid=1)[1])
+
+
+def test_extractor_and_head_arrays_cannot_be_rebound():
+    model = _tiny_model(LabelLayout((2, 3)), seed=1)
+    with pytest.raises(AttributeError):
+        model.feature_params = FeatureParams.from_seed(2)
+    head = model.discriminator
+    with pytest.raises(AttributeError):  # dataclasses.FrozenInstanceError
+        head.w1 = np.zeros_like(head.w1)
+    # every array stays a view of the head's one buffer
+    assert all(np.shares_memory(arr, head.flat) for arr in head.params().values())
+    assert sum(arr.size for arr in head.params().values()) == head.flat.size
+
+
+@pytest.mark.parametrize(
+    "kwargs, named",
+    [
+        ({"p_grid": 0}, "key 'p_grid' must lie in [1, l_size = 64], got 0"),
+        ({"l_size": 0}, "key 'p_grid' must lie in [1, l_size = 0], got 4"),
+        ({"seed": -1}, "key 'seed' must be >= 0, got -1"),
+    ],
+)
+def test_training_checks_the_model_header_rules(kwargs, named):
+    # a model that trains must also load: the header's rules hold before the first draw
+    layout = LabelLayout((2, 3))
+    x, y = _toy_features(np.random.default_rng(3), 4, _padded_centers(layout))
+    with pytest.raises(DomainError) as info:
+        train_two_tier(x, y, layout, epochs=1, **kwargs)
+    assert str(info.value) == named
+    model = _tiny_model(layout)
+    with pytest.raises(DomainError, match=re.escape(named)):
+        header = {"l_size": 64, "p_grid": 4, "seed": 0, **kwargs}
+        TwoTierModel(model.layout, model.discriminator, model.predictors, **header)
 
 
 def test_trained_model_saves_identical_bytes(tmp_path):
@@ -707,19 +739,8 @@ def test_trained_model_saves_identical_bytes(tmp_path):
 
 def test_load_model_memory_is_a_few_times_the_weights(tmp_path):
     # the default layout's 7 heads at D = 54: 1.1 M parameters, 8.9 MB of float64.
-    # Loading peaks near 1.0x the weights: each array is read straight into its own buffer.
-    layout = TABLE_LAYOUT
-    dim = feature_length(4)
-    rng = np.random.default_rng(2)
-    model = TwoTierModel(
-        layout=layout,
-        feature_params=FeatureParams.from_seed(2),
-        discriminator=MlpHead.init(dim, layout.num_categories, rng),
-        predictors=[MlpHead.init(dim, c, rng) for c in layout.counts],
-        l_size=64,
-        p_grid=4,
-        seed=2,
-    )
+    # Loading peaks near 1.0x the weights: each head is read straight into its own buffer.
+    model = _default_model()
     weight_bytes = sum(p.nbytes for h in [model.discriminator] + model.predictors for p in h.params().values())
     assert weight_bytes > 8.5e6
     path = tmp_path / "model.json"

@@ -18,6 +18,7 @@ from facelight.cli import error_boundary, main
 from facelight.config import config_from_dict
 from facelight.dataset import generate_dataset, read_split
 from facelight.features import PARAM_SHAPES, feature_length
+from facelight.hlc import HlcParams, sweep_params
 from facelight.pipeline import mdc, run_attack
 
 TINY = {
@@ -528,7 +529,7 @@ def test_mdc_bad_fraction_one_error_line(tmp_path, tiny_config, capsys, fraction
         ("hlc", "sigma_e", 0.6, "hlc.sigma_e must lie in (0, 0.5], got 0.6"),
         ("hlc", "t_e", -1, "hlc.t_e must be >= 0, got -1"),
         ("screen", "center", [0.0, float("nan"), 0.0], "screen.center must be finite, got [0.0, nan, 0.0]"),
-        ("screen", "normal", [0.0, 0.0, float("inf")], "screen.normal must be finite, got [0.0, 0.0, inf]"),
+        ("screen", "normal", [0.0, 0.0, float("inf")], "screen.normal must be finite and non-zero, got [0.0, 0.0, inf]"),
         ("face", "center", [float("nan"), 0.0, 0.45], "face.center must be finite, got [nan, 0.0, 0.45]"),
         (None, "camera", [0.0, float("nan"), 0.02], "camera must be finite, got [0.0, nan, 0.02]"),
         ("weight_sim", "x_min", float("nan"), "weight_sim.x_min must be finite, got nan"),
@@ -536,7 +537,7 @@ def test_mdc_bad_fraction_one_error_line(tmp_path, tiny_config, capsys, fraction
         ("weight_sim", "camera_x", float("-inf"), "weight_sim.camera_x must be finite, got -inf"),
         ("weight_sim", "points", [[0.0, float("nan"), 0.0, -1.0]], "weight_sim.points must be finite"),
         ("weight_sim", "x_min", 0.5, "weight_sim.x_min must be < weight_sim.x_max, got 0.5 >= 0.3"),
-        ("screen", "normal", [0, 0, 0], "screen.normal must be non-zero, got [0.0, 0.0, 0.0]"),
+        ("screen", "normal", [0, 0, 0], "screen.normal must be finite and non-zero, got [0, 0, 0]"),
     ],
 )
 def test_bad_config_value_one_error_line(tmp_path, capsys, section, key, value, named):
@@ -773,6 +774,24 @@ def test_hlc_sweep_script_table_and_best_line(tmp_path):
     assert len(rows) == 1 + 90
     best = max(float(row.split(",")[-1]) for row in rows[1:])
     assert lines[0].startswith(f"best mean accuracy {best:.4f} at ")
+
+
+def test_hlc_sweep_script_means_the_library_sweep(tmp_path, monkeypatch):
+    # the script runs in this process; each row's accuracy is the mean over the
+    # seeds of `hlc.sweep_params` on the script's own noisy sequences
+    script = str(SCRIPTS / "hlc_param_sweep.py")
+    noisy_steps = runpy.run_path(script)["noisy_steps"]
+    out = tmp_path / "sweep.csv"
+    monkeypatch.setattr(sys, "argv", ["hlc_param_sweep.py", "--seeds", "3", "--flip", "0.2", "--out", str(out)])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_path(script, run_name="__main__")
+    assert not stop.value.code  # exit status 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    grid = [HlcParams(float(ss), int(ts), float(se), int(te)) for ss, ts, se, te, _ in rows]
+    sequences = [noisy_steps(np.random.default_rng(seed), flip=0.2) for seed in range(3)]
+    per_seed = [[acc for _, acc in sweep_params(noisy, truth, grid)] for noisy, truth in sequences]
+    assert [float(row[-1]) for row in rows] == [sum(accs) / 3 for accs in zip(*per_seed)]
+    assert len(set(float(row[-1]) for row in rows)) > 1  # the grid points differ at this flip rate
 
 
 @pytest.mark.parametrize("flag, value", [("--seeds", 0), ("--seeds", -2), ("--flip", 1.5), ("--flip", -0.1), ("--flip", "nan")])

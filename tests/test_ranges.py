@@ -69,6 +69,10 @@ CASES = [
         lambda v: screen_from_image(CONTENT, (0.6, 0.34), (2, 2), (0, 0, 0), v),
         lambda v: _screen_model(normal=v),
     ]),
+    ("screen.normal", [0.0, 0.0, 0.0], [
+        lambda v: screen_from_image(CONTENT, (0.6, 0.34), (2, 2), (0, 0, 0), v),
+        lambda v: _screen_model(normal=v),
+    ]),
     ("screen.rows", 0, [
         lambda v: _screen(grid=(v, 2)),
         lambda v: _screen_model(radiance=np.zeros((v, 2, 3))),
@@ -213,6 +217,24 @@ def test_unit_positions_not_increasing_rejected(xs):
     # the half-maximum width reads the positions in ascending order
     with pytest.raises(DomainError, match="screen unit positions must be strictly increasing"):
         simulate_weight_curves(xs, [POINT], 0.0)
+
+
+@pytest.mark.parametrize(
+    "bad, named",
+    [
+        ((0.1, 0.5, 0.0, 0.0), "weight_sim.points[1] has a zero-length normal, got [0.0, 0.0]"),
+        ((0.1, 0.0, 0.0, -1.0), "weight_sim.points[1] needs y != 0 (off the screen line), got 0.0"),
+    ],
+)
+def test_weight_point_rejected_alike_in_config_and_library(bad, named):
+    # one check serves the config section and the simulation
+    points = [(0.0, 0.5, 0.0, -1.0), bad]
+    with pytest.raises(GeometryError) as info:
+        config_from_dict({"weight_sim": {"points": [list(p) for p in points]}})
+    assert str(info.value) == named
+    with pytest.raises(GeometryError) as info:
+        _weight_curves(points=points)
+    assert str(info.value) == named
 
 
 def test_zero_length_normal_is_a_geometry_error():
