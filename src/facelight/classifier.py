@@ -57,7 +57,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check, check_p_grid
 from .features import PARAM_SHAPES, FeatureParams, extract_features, feature_length
 from .labels import LabelLayout, split_label
 from .threads import MAX_THREADS, run_shares
@@ -237,11 +237,11 @@ class MlpHead:
 
 
 def _check_header(l_size: int, p_grid: int, seed: int) -> None:
-    """The model header's rules for its sizes and seed; DomainError naming the key otherwise."""
-    if not 1 <= p_grid <= l_size:
-        raise DomainError(f"key 'p_grid' must lie in [1, l_size = {l_size}], got {p_grid}")
-    if seed < 0:
-        raise DomainError(f"key 'seed' must be >= 0, got {seed}")
+    """The model header's sizes and seed, under the config's rules for the same keys."""
+    check_p_grid(l_size, p_grid)
+    if seed is None:  # a config's "no seed yet", which a model file cannot hold
+        raise DomainError("seed must be an integer, got None")
+    check("seed", seed)
 
 
 @dataclass
@@ -296,15 +296,19 @@ def _train_head(
     fixed = head.out_dim == 1
     log: List[dict] = []
     t = 0
-    for epoch, order in enumerate(orders, 1):
-        for b, start in enumerate(range(0, order.size, batch_size)):
-            loss = -0.0
-            if not fixed:
-                idx = order[start : start + batch_size]
-                loss = head.backward(x[idx], y[idx], grads)
-                t += 1
-                adam_update(head.flat, grad, m, v, t, lr, scratch)
-            log.append({"head": head_name, "epoch": epoch, "batch": b, "loss": loss})
+    # a step size that overflows the weights is one error, below, not a warning per step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch, order in enumerate(orders, 1):
+            for b, start in enumerate(range(0, order.size, batch_size)):
+                loss = -0.0
+                if not fixed:
+                    idx = order[start : start + batch_size]
+                    loss = head.backward(x[idx], y[idx], grads)
+                    t += 1
+                    adam_update(head.flat, grad, m, v, t, lr, scratch)
+                log.append({"head": head_name, "epoch": epoch, "batch": b, "loss": loss})
+    if not -math.inf < head.flat.min() <= head.flat.max() < math.inf:  # NaN fails too
+        raise DomainError(f"training diverged: the {head_name} head's weights are not finite at train.learning_rate {lr}")
     return log
 
 

@@ -8,10 +8,11 @@ no default; it must come from the file or the command line.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+import sys
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import List, Optional, Tuple, Union
 
-from .errors import DomainError, check_section
+from .errors import DomainError, check_p_grid, check_section
 from .hlc import HlcParams
 from .labels import LabelLayout
 from .optics import OpticsConfig
@@ -147,8 +148,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_section(self)
-        if not 1 <= self.p_grid <= self.l_size:
-            raise DomainError(f"p_grid must lie in [1, l_size = {self.l_size}], got {self.p_grid}")
+        check_p_grid(self.l_size, self.p_grid)
 
     def require_seed(self) -> int:
         if self.seed is None:
@@ -162,9 +162,6 @@ class ExperimentConfig:
             tuple(tuple(c.apps) for c in self.categories),
         )
 
-    def optics_config(self) -> OpticsConfig:
-        return OpticsConfig(self.optics.g, np.asarray(self.optics.ambient, dtype=float))
-
     def build_scene(self, content=None) -> Scene:
         """Scene with the given screen content (dark screen when omitted)."""
         s = self.screen
@@ -177,19 +174,7 @@ class ExperimentConfig:
         face = FaceModel(
             f.center, f.semi_axes, (f.rows, f.cols), f.k_d, f.k_s, f.k_a, f.n_s, f.patch_degrees
         )
-        return Scene(screen, face, np.asarray(self.camera, dtype=float), self.optics_config(), self.exposure)
-
-
-_SECTION_TYPES = {
-    "screen": ScreenSection,
-    "face": FaceSection,
-    "optics": OpticsSection,
-    "noise": NoiseSection,
-    "train": TrainSection,
-    "hlc": HlcParams,
-    "weight_sim": WeightSimSection,
-    "mdc": MdcSection,
-}
+        return Scene(screen, face, self.camera, OpticsConfig(self.optics.g, self.optics.ambient), self.exposure)
 
 
 _DEFAULTS = ExperimentConfig()
@@ -201,11 +186,11 @@ _SPECIAL_KEYS = {"seed": (None, 0), "exposure": ("auto", 1.0)}
 def _matches(value, default) -> bool:
     """Does the JSON value have the type of `default`?
 
-    An int passes for a float but a bool never for a number; a list passes
-    for a tuple of the same length, element by element.
+    An int within the float range passes for a float, but a bool never for a
+    number; a list passes for a tuple of the same length, element by element.
     """
     if isinstance(default, float):
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
+        return isinstance(value, float) or type(value) is int and abs(value) <= sys.float_info.max
     if isinstance(default, tuple):
         return (
             isinstance(value, (list, tuple))
@@ -217,8 +202,7 @@ def _matches(value, default) -> bool:
     return type(value) is type(default)
 
 
-def _check_type(template, key: str, value, where: str) -> None:
-    default = getattr(template, key)
+def _check_type(key: str, default, value, where: str) -> None:
     if key in _SPECIAL_KEYS:
         literal, default = _SPECIAL_KEYS[key]
         if value == literal:
@@ -231,43 +215,38 @@ def _check_type(template, key: str, value, where: str) -> None:
         raise DomainError(f"config key '{where}' must be {expected}, got {json.dumps(value)}")
 
 
-def _build_section(cls, data, path, template):
-    if not isinstance(data, dict):
-        raise DomainError(f"config section '{path}' must be an object")
-    valid = {f.name for f in fields(cls)}
-    unknown = set(data) - valid
-    if unknown:
-        raise DomainError(f"unknown config key(s) in '{path}': {sorted(unknown)}")
-    for key, value in data.items():
-        _check_type(template, key, value, f"{path}.{key}")
-    try:
-        return cls(**data)
-    except TypeError as exc:
-        raise DomainError(f"bad config section '{path}': {exc}") from exc
+def _build(cls, data, where: str, template):
+    """`cls` from the JSON object `data` at config path `where` ("" for the document).
 
-
-def config_from_dict(data: dict) -> ExperimentConfig:
+    Each key must be a field of `cls`; its value is type-checked against
+    `template`'s, and built the same way where that value is a section.
+    """
     if not isinstance(data, dict):
-        raise DomainError("config document must be a JSON object")
-    valid = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(data) - valid
+        raise DomainError(f"config section '{where}' must be an object" if where else "config document must be a JSON object")
+    unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
-        raise DomainError(f"unknown config key(s): {sorted(unknown)}")
+        raise DomainError(f"unknown config key(s){f' in {where!r}' if where else ''}: {sorted(unknown)}")
     kwargs = {}
     for key, value in data.items():
-        if key in _SECTION_TYPES:
-            kwargs[key] = _build_section(_SECTION_TYPES[key], value, key, getattr(_DEFAULTS, key))
+        path = f"{where}.{key}" if where else key
+        default = getattr(template, key)
+        if is_dataclass(default):
+            kwargs[key] = _build(type(default), value, path, default)
         elif key == "categories":
             if not isinstance(value, list):
                 raise DomainError("config key 'categories' must be a list")
-            kwargs[key] = [
-                _build_section(CategorySection, c, f"categories[{i}]", _DEFAULTS.categories[0])
-                for i, c in enumerate(value)
-            ]
+            kwargs[key] = [_build(CategorySection, c, f"categories[{i}]", default[0]) for i, c in enumerate(value)]
         else:
-            _check_type(_DEFAULTS, key, value, key)
+            _check_type(key, default, value, path)
             kwargs[key] = value
-    return ExperimentConfig(**kwargs)
+    try:
+        return cls(**kwargs)
+    except TypeError as exc:
+        raise DomainError(f"bad config section '{where}': {exc}") from exc
+
+
+def config_from_dict(data: dict) -> ExperimentConfig:
+    return _build(ExperimentConfig, data, "", _DEFAULTS)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

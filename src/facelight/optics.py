@@ -36,6 +36,7 @@ kept as loop references in tests/oracle_optics.py.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,11 +61,11 @@ def vec3(x, y=None, z=None) -> np.ndarray:
 
 
 def unit(v) -> np.ndarray:
-    """Normalize to unit length; degenerate (near-zero) vectors are an error."""
+    """Normalize to unit length; a vector of zero or overflowing length is an error."""
     v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v)
-    if n < 1e-300:
-        raise GeometryError("cannot normalize a zero-length vector")
+    n = math.hypot(*v)  # scaled, so neither a huge nor a tiny component under- or overflows
+    if not 0 < n < math.inf:
+        raise GeometryError(f"cannot normalize a vector of length {n}")
     return v / n
 
 

@@ -168,11 +168,15 @@ class FaceModel:
         local = np.stack(
             [a * np.cos(bb) * np.sin(aa), b * np.sin(bb), -c * np.cos(bb) * np.cos(aa)], axis=2
         )
-        grad = local / np.array([a * a, b * b, c * c])
+        with np.errstate(all="ignore"):  # squares that under- or overflow give NaN normals, rejected below
+            grad = local / np.array([a * a, b * b, c * c])
+            normals = grad / np.linalg.norm(grad, axis=2, keepdims=True)
+        if not np.all(np.isfinite(normals)):
+            raise GeometryError(f"face.semi_axes {[a, b, c]} give non-finite surface normals")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "semi_axes", (a, b, c))
         object.__setattr__(self, "positions", center + local)
-        object.__setattr__(self, "normals", grad / np.linalg.norm(grad, axis=2, keepdims=True))
+        object.__setattr__(self, "normals", normals)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import re
@@ -708,9 +709,10 @@ def test_extractor_and_head_arrays_cannot_be_rebound():
 @pytest.mark.parametrize(
     "kwargs, named",
     [
-        ({"p_grid": 0}, "key 'p_grid' must lie in [1, l_size = 64], got 0"),
-        ({"l_size": 0}, "key 'p_grid' must lie in [1, l_size = 0], got 4"),
-        ({"seed": -1}, "key 'seed' must be >= 0, got -1"),
+        ({"p_grid": 0}, "p_grid must lie in [1, l_size = 64], got 0"),
+        ({"l_size": 0}, "l_size must be >= 1, got 0"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"seed": None}, "seed must be an integer, got None"),
     ],
 )
 def test_training_checks_the_model_header_rules(kwargs, named):
@@ -724,6 +726,38 @@ def test_training_checks_the_model_header_rules(kwargs, named):
     with pytest.raises(DomainError, match=re.escape(named)):
         header = {"l_size": 64, "p_grid": 4, "seed": 0, **kwargs}
         TwoTierModel(model.layout, model.discriminator, model.predictors, **header)
+
+
+@pytest.mark.parametrize("key, value", [("seed", -1), ("p_grid", 0), ("p_grid", 65), ("l_size", 0)])
+def test_header_keys_read_as_in_the_config(tmp_path, key, value):
+    # the config, training and a model file's header share one rule per key
+    from facelight.config import config_from_dict
+
+    with pytest.raises(DomainError) as info:
+        config_from_dict({key: value})
+    message = str(info.value)
+    layout = LabelLayout((2, 3))
+    x, y = _toy_features(np.random.default_rng(3), 4, _padded_centers(layout))
+    with pytest.raises(DomainError) as info:
+        train_two_tier(x, y, layout, epochs=1, **{key: value})
+    assert str(info.value) == message
+    path = tmp_path / "model.bin"
+    save_model(_tiny_model(layout), path)
+    line, weights = path.read_bytes().split(b"\n", 1)
+    header = {**json.loads(line), "l_size": 64, "p_grid": 4, "seed": 0, key: value}
+    path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + weights)
+    with pytest.raises(DomainError) as info:
+        load_model(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_training_that_leaves_the_finite_range_is_an_error():
+    # such a model would save, then fail to load on its non-finite weights
+    layout = LabelLayout((2, 3), ("a", "b"))
+    x, y = _toy_features(np.random.default_rng(3), 4, _padded_centers(layout))
+    with pytest.raises(DomainError) as info:
+        train_two_tier(x, y, layout, epochs=2, lr=1e300, p_grid=1)
+    assert str(info.value) == "training diverged: the discriminator head's weights are not finite at train.learning_rate 1e+300"
 
 
 def test_trained_model_saves_identical_bytes(tmp_path):

@@ -214,9 +214,9 @@ def _earlier_version(path, as_lists):
         (("l_size",), "32", "'l_size'"),
         (("layout", "counts"), None, "'counts'"),
         (("layout",), {"counts": [2, 3]}, "holds 3397680 weight bytes, the header's layout needs 3399736"),
-        (("p_grid",), TINY["l_size"] + 1, "key 'p_grid' must lie in [1, l_size = 16]"),
-        (("p_grid",), 0, "key 'p_grid' must lie in [1, l_size = 16]"),
-        (("seed",), -1, "key 'seed' must be >= 0, got -1"),
+        (("p_grid",), TINY["l_size"] + 1, "p_grid must lie in [1, l_size = 16], got 17"),
+        (("p_grid",), 0, "p_grid must lie in [1, l_size = 16], got 0"),
+        (("seed",), -1, "seed must be >= 0, got -1"),
         (("kind",), "facelight-model", "not a two-tier model file"),
         pytest.param(("p_grid",), 4, "holds 3397680 weight bytes, the header's layout needs 3840048",
                      id="p_grid-4-w1-shape-differs"),
@@ -551,6 +551,21 @@ def test_bad_config_value_one_error_line(tmp_path, capsys, section, key, value, 
         code = run(command, "--config", str(path), "--out", str(tmp_path / "x"))
         assert named in _assert_one_error_line(capsys, code)
         assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "lr, named",
+    [
+        ("inf", "error: train.learning_rate must be > 0, got inf"),
+        ("1e300", "error: training diverged: the discriminator head's weights are not finite at train.learning_rate 1e+300"),
+    ],
+)
+def test_train_learning_rate_that_cannot_give_a_finite_model(pipeline, tmp_path, capsys, lr, named):
+    # such a model used to save, and then fail to load
+    model = tmp_path / "model.bin"
+    argv = ("train", str(pipeline["data"]), str(model), "--config", pipeline["config"], "--lr", lr)
+    assert _assert_one_error_line(capsys, run(*argv)) == named
+    assert not model.exists()
 
 
 def test_train_flag_out_of_range_one_error_line(tmp_path, tiny_config, capsys):

@@ -57,6 +57,13 @@ def test_unknown_keys_rejected():
         config_from_dict({"seed": 1, "screen": {"rows": 2, "teeth": 3}})
 
 
+@pytest.mark.parametrize("doc", [{"camera": [0, 10**400, 0]}, {"screen": {"width": 10**400}}])
+def test_integer_beyond_the_float_range_is_not_a_number(doc):
+    # a JSON integer is exact, so it may not fit the float the value becomes
+    with pytest.raises(DomainError, match=r"^config key '(camera|screen\.width)' must be (a list like|a number)"):
+        config_from_dict(doc)
+
+
 def test_config_round_trip(tmp_path):
     cfg = small_config(seed=9)
     path = tmp_path / "cfg.json"

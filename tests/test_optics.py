@@ -100,6 +100,16 @@ def test_mirror_rejects_non_unit():
         mirror_direction(vec3(1, 0, 0), vec3(0, 0, 0.5))
 
 
+def test_unit_of_huge_and_tiny_vectors():
+    # the length is taken without squaring each component, which would over- or underflow
+    assert unit([1e200, 0.0, 0.0]).tolist() == [1.0, 0.0, 0.0]
+    assert unit([0.0, 0.0, 1e-310]).tolist() == [0.0, 0.0, 1.0]
+    assert unit([3e200, 0.0, 4e200]) == pytest.approx([0.6, 0.0, 0.8], abs=1e-15)
+    for bad, length in (([0.0, 0.0, 0.0], "0.0"), ([1.5e308, 1.5e308, 0.0], "inf"), ([math.nan, 0.0, 1.0], "nan")):
+        with pytest.raises(GeometryError, match=f"^cannot normalize a vector of length {length}$"):
+            unit(bad)
+
+
 @given(st.lists(st.floats(-1, 1), min_size=3, max_size=3), st.lists(st.floats(-1, 1), min_size=3, max_size=3))
 def test_mirror_involution_and_angle(d_raw, n_raw):
     d = np.asarray(d_raw)

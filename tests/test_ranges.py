@@ -60,12 +60,17 @@ CASES = [
     ("delta", NAN, [lambda v: LabelSequence((0,), v)]),
     ("l_size", 0, [lambda v: resize(CONTENT, v), lambda v: block_frames(v, 4, 4)]),
     ("exposure", -1.0, [lambda v: _scene(exposure=v)]),
+    ("exposure", INF, [lambda v: _scene(exposure=v)]),
     ("camera", [0.0, NAN, 0.02], [lambda v: Scene(_scene().screen, _scene().face, v)]),
     ("screen.center", [0.0, INF, 0.0], [
         lambda v: screen_from_image(CONTENT, (0.6, 0.34), (2, 2), v, NORMAL),
         lambda v: _screen_model(origin=v),
     ]),
     ("screen.normal", [0.0, NAN, 1.0], [
+        lambda v: screen_from_image(CONTENT, (0.6, 0.34), (2, 2), (0, 0, 0), v),
+        lambda v: _screen_model(normal=v),
+    ]),
+    ("screen.normal", [1.5e308, 1.5e308, 0.0], [  # finite, but its length overflows
         lambda v: screen_from_image(CONTENT, (0.6, 0.34), (2, 2), (0, 0, 0), v),
         lambda v: _screen_model(normal=v),
     ]),
@@ -81,6 +86,7 @@ CASES = [
     ("screen.cols", -2, [lambda v: _screen(grid=(2, v)), lambda v: app_palette(0, 0, 2, v, 0)]),
     ("screen.width", 0.0, [lambda v: _screen(physical=(v, 0.34)), lambda v: _screen_model(width=v)]),
     ("screen.width", NAN, [lambda v: _screen(physical=(v, 0.34)), lambda v: _screen_model(width=v)]),
+    ("screen.width", INF, [lambda v: _screen(physical=(v, 0.34)), lambda v: _screen_model(width=v)]),
     ("screen.height", -0.1, [lambda v: _screen(physical=(0.6, v)), lambda v: _screen_model(height=v)]),
     ("screen.radiance_scale", -1.0, [
         lambda v: _screen(scale=v),
@@ -95,15 +101,18 @@ CASES = [
     ("face.k_a", -0.5, [lambda v: _face_model(k_a=v), lambda v: _face_point(k_a=v)]),
     ("face.n_s", 0.25, [lambda v: _face_model(n_s=v), lambda v: _face_point(n_s=v)]),
     ("face.semi_axes", [0.08, 0.0, 0.09], [lambda v: _face_model(semi_axes=v)]),
+    ("face.semi_axes", [0.08, INF, 0.09], [lambda v: _face_model(semi_axes=v)]),
     ("face.patch_degrees", 400.0, [lambda v: _face_model(patch_degrees=v)]),
     ("optics.g", -5.0, [lambda v: OpticsConfig(v)]),
     ("optics.g", NAN, [lambda v: OpticsConfig(v)]),
     ("optics.ambient", [6.0, -1.0, 6.0], [lambda v: OpticsConfig(30.0, np.asarray(v))]),
+    ("optics.ambient", [6.0, INF, 6.0], [lambda v: OpticsConfig(30.0, np.asarray(v))]),
     ("noise.pixel_sigma", -1.0, []),
     ("noise.ambient_jitter", 1.5, []),
     ("train.epochs", 0, []),
     ("train.batch_size", 0, []),
     ("train.learning_rate", 0.0, []),
+    ("train.learning_rate", INF, []),
     ("hlc.sigma_s", 0.4, [lambda v: HlcParams(sigma_s=v), lambda v: param_grid([v], [10], [0.1], [10])]),
     ("hlc.sigma_s", 1.0, [lambda v: HlcParams(sigma_s=v)]),
     ("hlc.t_s", 0, [lambda v: HlcParams(t_s=v), lambda v: param_grid([0.9], [v], [0.1], [10])]),
@@ -115,6 +124,7 @@ CASES = [
     ("weight_sim.units", 1, [lambda v: simulate_weight_curves(np.linspace(-0.3, 0.3, v), [POINT], 0.0)]),
     ("weight_sim.camera_x", -INF, [lambda v: _weight_curves(camera_x=v)]),
     ("weight_sim.points", [[0.0, NAN, 0.0, -1.0]], [lambda v: _weight_curves(points=v)]),
+    ("weight_sim.points", [], [lambda v: _weight_curves(points=v)]),
     ("mdc.fractions", [], [lambda v: mdc_search(_scene(), v)]),
     ("mdc.fractions", [2.0], [lambda v: mdc_search(_scene(), v), lambda v: probe_content(4, 4, v[0])]),
 ]
@@ -203,7 +213,7 @@ def test_8bit_values_of_any_dtype_keep_their_bytes(tmp_path):
 
 def test_non_finite_points_of_mixed_dimension_rejected():
     points = [((0.0, 0.5), (0.0, -1.0)), ((0.0, NAN, 0.0), (0.0, -1.0, 0.0))]
-    with pytest.raises(DomainError, match=r"weight_sim\.points must be finite, got \[\[0\.0, 0\.5, 0\.0, -1\.0\], \[0\.0, nan"):
+    with pytest.raises(DomainError, match=r"weight_sim\.points must be finite and non-empty, got \[\[0\.0, 0\.5, 0\.0, -1\.0\], \[0\.0, nan"):
         simulate_weight_curves(np.linspace(-0.3, 0.3, 5), points, 0.0)
 
 

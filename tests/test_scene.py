@@ -111,6 +111,24 @@ def test_degenerate_axes_rejected():
 
 # --- render_face -----------------------------------------------------------
 
+
+
+@pytest.mark.parametrize("semi_axes", [(1e-300, 1e-300, 1e-300), (1e200, 1e200, 1e200)])
+def test_axes_without_finite_normals_rejected(semi_axes):
+    # each squared axis under- or overflows, so the normals would be NaN
+    named = r"^face\.semi_axes \[.+\] give non-finite surface normals$"
+    with pytest.raises(GeometryError, match=named):
+        FaceModel((0, 0, 0.5), semi_axes, (4, 4))
+    with pytest.raises(GeometryError, match=named):
+        config_from_dict({"face": {"semi_axes": list(semi_axes)}}).build_scene()
+
+
+def test_screen_normal_of_huge_or_tiny_length_builds_the_default_scene():
+    default = config_from_dict({}).build_scene()
+    for normal in ([0.0, 0.0, 1e200], [0.0, 0.0, 1e-310]):
+        scene = config_from_dict({"screen": {"normal": normal}}).build_scene()
+        assert scene.screen.normal.tolist() == [0.0, 0.0, 1.0]
+        assert np.array_equal(scene.weights, default.weights)
 def test_dark_scene_renders_black():
     scene = make_scene(ambient=(0, 0, 0), exposure=2.0)
     assert np.all(render_face(scene) == 0)
