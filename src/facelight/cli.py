@@ -75,7 +75,7 @@ def cmd_simulate_weights(args) -> int:
     curves = pipeline.weight_curves(_load_config(args))
     scene.write_weight_curves_csv(args.out, curves)
     for i, curve in enumerate(curves):
-        peak, width = scene.peak_location(curve, "g_d"), scene.fwhm(curve, "g_d")
+        peak, width = scene.peak_location(curve), scene.fwhm(curve)
         print(f"point {i} g_d_peak_x {peak!r} g_d_fwhm {width!r}")
     return 0
 

@@ -3,6 +3,13 @@
 A config file is a single JSON document mirroring `ExperimentConfig`; any
 subset of keys may be given and the rest fall back to defaults.  The seed has
 no default; it must come from the file or the command line.
+
+The sections are plain dataclasses.  `_build` reads the document and checks
+each value's type; `ExperimentConfig.__post_init__` then checks every value's
+range in one walk over `errors.RANGES`, so a type error anywhere in the
+document is reported before any range error (`hlc` aside: `HlcParams`, a
+library type, checks itself as it is built).  A section added to
+`ExperimentConfig` needs only its field and its `RANGES` keys.
 """
 
 from __future__ import annotations
@@ -10,9 +17,10 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from operator import attrgetter
 from typing import List, Optional, Tuple, Union
 
-from .errors import DomainError, check_p_grid, check_section
+from .errors import RANGES, DomainError, check, check_p_grid, decoding
 from .hlc import HlcParams
 from .labels import LabelLayout
 from .optics import OpticsConfig
@@ -31,9 +39,6 @@ class ScreenSection:
     normal: Tuple[float, float, float] = (0.0, 0.0, 1.0)
     radiance_scale: float = 100.0
 
-    def __post_init__(self):
-        check_section(self, "screen")
-
 
 @dataclass
 class FaceSection:
@@ -47,17 +52,11 @@ class FaceSection:
     n_s: float = 2.0
     patch_degrees: float = 80.0
 
-    def __post_init__(self):
-        check_section(self, "face")
-
 
 @dataclass
 class OpticsSection:
     g: float = 30.0
     ambient: Tuple[float, float, float] = (6.0, 6.0, 6.0)
-
-    def __post_init__(self):
-        check_section(self, "optics")
 
 
 @dataclass
@@ -65,18 +64,12 @@ class NoiseSection:
     pixel_sigma: float = 0.05  # Gaussian std as a fraction of full scale
     ambient_jitter: float = 0.0  # per-frame uniform scale in [1 - j, 1 + j]
 
-    def __post_init__(self):
-        check_section(self, "noise")
-
 
 @dataclass
 class TrainSection:
     epochs: int = 5
     batch_size: int = 16
     learning_rate: float = 1e-4
-
-    def __post_init__(self):
-        check_section(self, "train")
 
 
 @dataclass
@@ -100,19 +93,10 @@ class WeightSimSection:
         ]
     )
 
-    def __post_init__(self):
-        check_section(self, "weight_sim")
-        if not self.x_min < self.x_max:
-            raise DomainError(f"weight_sim.x_min must be < weight_sim.x_max, got {self.x_min} >= {self.x_max}")
-        weight_points([((x, y), (nx, ny)) for x, y, nx, ny in self.points])
-
 
 @dataclass
 class MdcSection:
     fractions: List[float] = field(default_factory=lambda: [1 / 64, 1 / 25, 1 / 16, 1 / 4, 1.0])
-
-    def __post_init__(self):
-        check_section(self, "mdc")
 
 
 def default_categories() -> List[CategorySection]:
@@ -147,8 +131,14 @@ class ExperimentConfig:
     mdc: MdcSection = field(default_factory=MdcSection)
 
     def __post_init__(self):
-        check_section(self)
+        """The one check of a config: every `RANGES` key by its path, then the rules that span keys."""
+        for key in RANGES:
+            check(key, attrgetter(key)(self))
         check_p_grid(self.l_size, self.p_grid)
+        w = self.weight_sim
+        if not w.x_min < w.x_max:
+            raise DomainError(f"weight_sim.x_min must be < weight_sim.x_max, got {w.x_min} >= {w.x_max}")
+        weight_points([((x, y), (nx, ny)) for x, y, nx, ny in w.points])
 
     def require_seed(self) -> int:
         if self.seed is None:
@@ -255,7 +245,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
+    with decoding(path), open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:

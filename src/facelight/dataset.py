@@ -22,7 +22,7 @@ import numpy as np
 
 from .analysis import add_pixel_noise
 from .config import ExperimentConfig
-from .errors import DomainError, check
+from .errors import DomainError, check, decoding
 from .labels import split_label
 from .ppm import read_ppm, write_ppm
 from .scene import quantize, resolve_exposure
@@ -160,7 +160,7 @@ def read_split(split_dir) -> List[FrameRecord]:
         raise FileNotFoundError(f"no manifest.csv under {split_dir}")
     records = []
     seen = {}  # (sequence_id, t) -> the manifest line that listed it
-    with open(manifest, "r", newline="", encoding="ascii") as fh:
+    with decoding(manifest), open(manifest, "r", newline="", encoding="ascii") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != MANIFEST_HEADER:

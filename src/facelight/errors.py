@@ -5,14 +5,16 @@ The CLI maps DomainError (and subclasses) to exit code 1 and I/O or usage
 problems to exit code 2, so library code should raise these rather than
 bare ValueError where the distinction matters.
 
-`RANGES` maps a config key (`face.k_d`, `delta`, ...) to its range.  The
-config sections and every library function that takes the same value call
-`check`, so an out-of-range value reads `<key> must <phrase>, got <value>`
-through the CLI and the library alike.  NaN and infinity fail every numeric
-range, so a phrase such as "be > 0" also excludes inf.
+`RANGES` maps a config key (`face.k_d`, `delta`, ...) to its range.
+`ExperimentConfig` checks every key in one walk over the table, and every
+library function that takes the same value calls `check`, so an out-of-range
+value reads `<key> must <phrase>, got <value>` through the CLI and the library
+alike.  NaN and infinity fail every numeric range, so a phrase such as
+"be > 0" also excludes inf.
 """
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -99,9 +101,10 @@ def check_p_grid(l_size: int, p_grid: int) -> None:
         raise DomainError(f"p_grid must lie in [1, l_size = {l_size}], got {p_grid}")
 
 
-def check_section(obj, section: str = "") -> None:
-    """Check every `RANGES` key of one config section (top-level keys for "") on `obj`'s attributes."""
-    for key in RANGES:
-        prefix, _, name = key.rpartition(".")
-        if prefix == section:
-            check(key, getattr(obj, name))
+@contextmanager
+def decoding(path):
+    """Run the block; a UnicodeDecodeError in it becomes a DomainError that starts with `path`."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: {exc}") from None

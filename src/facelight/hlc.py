@@ -43,12 +43,12 @@ from __future__ import annotations
 
 import csv
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, check, check_section
+from .errors import DomainError, check, decoding
 from .labels import UNKNOWN
 
 DEFAULT_TIMESTEP = 0.5
@@ -116,7 +116,8 @@ class HlcParams:
     t_e: int = 10
 
     def __post_init__(self):
-        check_section(self, "hlc")
+        for f in fields(self):
+            check(f"hlc.{f.name}", getattr(self, f.name))
 
 
 def _runs(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -256,7 +257,7 @@ def write_label_sequence(path, seq) -> None:
 
 def read_label_sequence(path) -> LabelSequence:
     """Read what `write_label_sequence` writes; each row's t must be its 1-based row number."""
-    with open(path, "r", newline="", encoding="ascii") as fh:
+    with decoding(path), open(path, "r", newline="", encoding="ascii") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["t", "label_index"]:

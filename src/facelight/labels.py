@@ -57,15 +57,6 @@ class LabelLayout:
         return f"category-{j}"
 
 
-def unify_label(j: int, k: int, layout: LabelLayout) -> int:
-    """(category, app) -> unified index; bijective over valid pairs."""
-    if not 0 <= j < layout.num_categories:
-        raise DomainError(f"category index {j} out of range [0, {layout.num_categories})")
-    if not 0 <= k < layout.counts[j]:
-        raise DomainError(f"app index {k} out of range [0, {layout.counts[j]}) for category {j}")
-    return layout.offsets[j] + k
-
-
 def split_label(index: int, layout: LabelLayout) -> Tuple[int, int]:
     """Unified index -> (category, app) pair."""
     if not 0 <= index < layout.num_labels:

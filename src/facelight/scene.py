@@ -192,8 +192,12 @@ class Scene:
     def __post_init__(self):
         object.__setattr__(self, "camera", check("camera", vec3(self.camera)))
         check("exposure", self.exposure)
-        rel = (self.camera - self.face.center) / np.asarray(self.face.semi_axes)
-        if float(rel @ rel) <= 1.0:
+        with np.errstate(over="ignore"):
+            rel = (self.camera - self.face.center) / np.asarray(self.face.semi_axes)
+            reach = float(rel @ rel)  # the camera's squared distance in semi-axis units
+        if not np.isfinite(reach):
+            raise GeometryError("camera, face.center and face.semi_axes give a camera distance that overflows")
+        if reach <= 1.0:
             raise GeometryError("camera lies inside the face ellipsoid")
         d0 = (self.face.positions - self.screen.origin) @ self.screen.normal
         if np.min(d0) <= 0:
@@ -357,19 +361,18 @@ def count_local_maxima(ys) -> int:
     return count
 
 
-def peak_location(curve: WeightCurve, which: str = "g_d") -> float:
-    ys = getattr(curve, which)
-    return float(curve.unit_x[int(np.argmax(ys))])
+def peak_location(curve: WeightCurve) -> float:
+    """Where the diffuse weight `g_d` peaks."""
+    return float(curve.unit_x[int(np.argmax(curve.g_d))])
 
 
-def fwhm(curve: WeightCurve, which: str = "g_d") -> float:
-    """Full width at half maximum with linear interpolation at the crossings.
+def fwhm(curve: WeightCurve) -> float:
+    """Full width at half maximum of the diffuse weight `g_d`, with linear interpolation at the crossings.
 
     A side that never falls below half maximum contributes its end of the
     sampled interval.
     """
-    xs = curve.unit_x
-    ys = getattr(curve, which)
+    xs, ys = curve.unit_x, curve.g_d
     k = int(np.argmax(ys))
     half = ys[k] / 2.0
     if ys[k] <= 0.0:

@@ -30,7 +30,7 @@ from facelight.classifier import (
 )
 from facelight.errors import DomainError
 from facelight.features import FeatureParams, feature_length
-from facelight.labels import UNKNOWN, LabelLayout, accuracy, split_label, unify_label
+from facelight.labels import UNKNOWN, LabelLayout, accuracy, split_label
 from facelight.threads import MAX_THREADS
 
 TABLE_LAYOUT = LabelLayout((6, 6, 6, 8, 2, 1))
@@ -38,30 +38,15 @@ TABLE_LAYOUT = LabelLayout((6, 6, 6, 8, 2, 1))
 
 # --- labels ------------------------------------------------------------------
 
-def test_unify_first_category():
-    assert unify_label(0, 0, LabelLayout((2, 3))) == 0
-
-
-def test_unify_offsets_by_earlier_counts():
-    assert unify_label(1, 0, LabelLayout((2, 3))) == 2
-
-
 def test_unify_split_round_trip_table_counts():
     seen = set()
     for j, count in enumerate(TABLE_LAYOUT.counts):
         for k in range(count):
-            idx = unify_label(j, k, TABLE_LAYOUT)
+            idx = TABLE_LAYOUT.offsets[j] + k
             assert split_label(idx, TABLE_LAYOUT) == (j, k)
             seen.add(idx)
     assert seen == set(range(TABLE_LAYOUT.num_labels))
     assert TABLE_LAYOUT.num_labels == 29
-
-
-def test_unify_out_of_range():
-    with pytest.raises(DomainError):
-        unify_label(0, 2, LabelLayout((2, 3)))
-    with pytest.raises(DomainError):
-        unify_label(2, 0, LabelLayout((2, 3)))
 
 
 def test_one_hot_unknown_is_zero_vector():

@@ -336,13 +336,14 @@ def test_attack_bad_split_one_error_line(pipeline, tmp_path, capsys, header, lab
         ("frame.ppm,0,test-00,-3\n", "manifest.csv:2: t must be >= 1, got -3"),
         ("frame.ppm,0,test-00,0\n", "manifest.csv:2: t must be >= 1, got 0"),
         ("frame.ppm,0,s,1\nframe.ppm,0,s,1\n", "manifest.csv:3: sequence_id s and t 1 repeat line 2"),
+        ("frame.ppm,0,test-\u00e9,1\n", "manifest.csv: 'ascii' codec can't decode byte 0xc3"),
     ],
 )
 def test_attack_bad_manifest_row_one_error_line(pipeline, tmp_path, capsys, rows, named):
     split = tmp_path / "split"
     split.mkdir()
     (split / "frame.ppm").write_bytes(b"P6\n8 8\n255\n" + bytes(8 * 8 * 3))
-    (split / "manifest.csv").write_text("path,label_index,sequence_id,t\n" + rows)
+    (split / "manifest.csv").write_text("path,label_index,sequence_id,t\n" + rows, encoding="utf-8")
     line = _assert_one_error_line(capsys, run("attack", str(pipeline["model"]), str(split)))
     assert f"{split / named}" in line
 
@@ -357,11 +358,12 @@ def test_attack_bad_manifest_row_one_error_line(pipeline, tmp_path, capsys, rows
         ("abc,3\n", "seq.csv:3: expected t,label_index"),
         ("9,1\n9,1\n", "seq.csv:3: expected t 2, got 9"),
         ("1,1\n", "seq.csv:3: expected t 2, got 1"),
+        ("2,\u00e9\n", "seq.csv: 'ascii' codec can't decode byte 0xc3"),
     ],
 )
 def test_hlc_malformed_label_csv_one_error_line(tmp_path, capsys, row, named):
     seq = tmp_path / "seq.csv"
-    seq.write_text("t,label_index\n1,0\n" + row)
+    seq.write_text("t,label_index\n1,0\n" + row, encoding="utf-8")
     line = _assert_one_error_line(capsys, run("hlc", str(seq), "--out", str(tmp_path / "z.csv")))
     assert named in line
     assert not (tmp_path / "z.csv").exists()
@@ -551,6 +553,35 @@ def test_bad_config_value_one_error_line(tmp_path, capsys, section, key, value, 
         code = run(command, "--config", str(path), "--out", str(tmp_path / "x"))
         assert named in _assert_one_error_line(capsys, code)
         assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.filterwarnings("error")  # an overflow warning would escape as an exception
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("face", "semi_axes", [1e-160, 1e-160, 1e-160]),
+        ("face", "center", [0, 0, 1e200]),
+        (None, "camera", [0, 0.12, 1e200]),
+    ],
+)
+def test_camera_distance_that_overflows_one_error_line(tmp_path, capsys, section, key, value):
+    doc = json.loads(json.dumps(TINY))
+    (doc if section is None else doc.setdefault(section, {}))[key] = value
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(doc))
+    # the config loads; the scene it builds is rejected
+    for command in ("gen-dataset", "mdc"):
+        code = run(command, "--config", str(path), "--out", str(tmp_path / "x"))
+        line = _assert_one_error_line(capsys, code)
+        assert line == "error: camera, face.center and face.semi_axes give a camera distance that overflows"
+        assert not (tmp_path / "x").exists()
+
+
+def test_config_file_not_utf8_one_error_line(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"seed": "\xff"}')
+    line = _assert_one_error_line(capsys, run("mdc", "--config", str(path), "--out", str(tmp_path / "x.csv")))
+    assert line.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff")
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,9 @@ library function or constructor that takes the same value; all of them must
 raise the same `<key> must <phrase>, got <value>` message.
 """
 
+import dataclasses
+from operator import attrgetter
+
 import numpy as np
 import pytest
 
@@ -132,6 +135,20 @@ CASES = [
 
 def test_every_range_has_a_case():
     assert {key for key, _, _ in CASES} == set(RANGES)
+
+
+def test_every_range_names_a_config_path():
+    # `ExperimentConfig` checks each key at the path the key names
+    cfg = ExperimentConfig()
+    for key in RANGES:
+        attrgetter(key)(cfg)
+
+
+def test_config_checks_a_replaced_section():
+    # the sections do not check themselves; the config checks them when it is built
+    cfg = ExperimentConfig()
+    with pytest.raises(DomainError, match=r"^train\.epochs must be >= 1, got 0$"):
+        dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, epochs=0))
 
 
 @pytest.mark.parametrize("key, value, calls", CASES, ids=[f"{k}={v}" for k, v, _ in CASES])

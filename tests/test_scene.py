@@ -353,7 +353,7 @@ def test_curves_peak_opposite_each_point():
     feet = [0.0, 0.0, 0.2]
     spacing = 0.6 / 60
     for curve, foot in zip(curves, feet):
-        assert abs(peak_location(curve, "g_d") - foot) <= 2 * spacing + 1e-12
+        assert abs(peak_location(curve) - foot) <= 2 * spacing + 1e-12
 
 
 def test_nearer_point_has_sharper_curve():
